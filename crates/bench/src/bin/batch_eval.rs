@@ -6,8 +6,8 @@
 //! `BENCH_batch.json` through the shared report writer: per-job objective,
 //! gap over the `aa` registry baseline and wall-clock, plus the aggregate
 //! serial/parallel walls and the measured speedup. The file is the standing
-//! performance-trajectory artifact for the batch pipeline, the companion of
-//! `BENCH_seed.json` for the single-scenario path.
+//! performance-trajectory artifact for the batch pipeline, which the
+//! repository benchmark in `perfbench/` does not run.
 //!
 //! ```bash
 //! cargo run --release -p quhe-bench --bin batch_eval            # full grid

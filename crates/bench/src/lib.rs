@@ -2,8 +2,7 @@
 //!
 //! One binary per table/figure of the paper's evaluation section
 //! (Section VI), plus Criterion micro-benchmarks of the stages and the
-//! substrates. See EXPERIMENTS.md at the workspace root for the experiment
-//! index and the measured-vs-paper comparison.
+//! substrates. `crates/README.md` lists the commands that run them.
 //!
 //! | Binary | Regenerates |
 //! |---|---|
@@ -13,11 +12,14 @@
 //! | `fig5_comparison` | Fig. 5(a)–(d): stage calls/runtime, Stage-1 methods, whole-procedure comparison |
 //! | `tables_5_6` | Tables V and VI: per-method `phi` and `w` values |
 //! | `fig6_sweeps` | Fig. 6(a)–(d): objective vs. resource budgets |
-//! | `bench_seed` | `BENCH_seed.json`: single-scenario perf record |
-//! | `stage_bench` | `BENCH_stage.json`: per-stage + per-primitive cold-path timings |
 //! | `batch_eval` | `BENCH_batch.json`: scenario-catalogue grid, serial vs parallel |
 //! | `online_eval` | `BENCH_online.json`: dynamic traces, warm-started tracking vs cold re-solving |
-//! | `serve_bench` | `BENCH_serve.json`: solve-service request streams, cache hit/warm/cold split, latency percentiles |
+//!
+//! Serving and solver performance — latency, throughput, per-stage and
+//! per-kernel timings — is measured by the repository benchmark in
+//! `perfbench/`, not here. `batch_eval` and `online_eval` stay because they
+//! measure what perfbench never runs: `Solver::solve_batch` and the online
+//! engine.
 //!
 //! Every binary accepts the environment variables `QUHE_SEED` (default 42)
 //! and, where relevant, `QUHE_SAMPLES` / `QUHE_POINTS`, so that quick smoke
@@ -36,14 +38,6 @@ use quhe_core::prelude::*;
 
 /// Reads an environment variable as `usize`, with a default.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Reads an environment variable as `f64`, with a default.
-pub fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())

@@ -1,15 +1,13 @@
 //! The shared report writer of the experiment harness.
 //!
-//! Every JSON-emitting binary (`bench_seed`, `batch_eval`, `online_eval`)
-//! builds a [`JsonValue`] document through the helpers here and hands it to
-//! [`write()`], so the `BENCH_*.json` artifacts share one envelope (schema
+//! Both JSON-emitting binaries (`batch_eval`, `online_eval`) build a
+//! [`JsonValue`] document through the helpers here and hand it to
+//! [`write()`], so their `BENCH_*.json` artifacts share one envelope (schema
 //! tag, mode, solver name, scenario and seed grids) and one field
 //! vocabulary: a job is always identified by `scenario` / `seed` /
 //! `clients`, a measured solve always reports `objective` /
 //! `outer_iterations` / `converged` / `wall_s`, and full solver output is
-//! embedded as a [`SolveReport`] JSON tree. Before this module each binary
-//! hand-rolled its own `format!` JSON with drifting field names — that is
-//! exactly the duplication the unified solver surface exists to remove.
+//! embedded as a [`SolveReport`] JSON tree.
 
 use quhe_core::prelude::*;
 
@@ -52,17 +50,6 @@ pub fn solve_measurement(object: &mut JsonValue, report: &SolveReport, wall_s: f
     );
     object.set("converged", JsonValue::Bool(report.converged));
     object.set("wall_s", JsonValue::from_f64(wall_s));
-}
-
-/// The `p`-th percentile of an ascending-sorted sample (nearest-rank), `NaN`
-/// when empty — the convention every latency block of a `BENCH_*.json`
-/// report uses.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Serializes the document, writes it to `out_path`, echoes it to stdout and

@@ -85,7 +85,7 @@ impl Fingerprint {
     }
 
     /// The canonical 32-character lowercase hex rendering (what the serve
-    /// protocol and `BENCH_serve.json` carry).
+    /// protocol carries).
     pub fn to_hex(&self) -> String {
         format!("{:032x}", self.0)
     }

@@ -5,8 +5,8 @@
 //! working substitute: a [`JsonValue`] tree with a deterministic pretty
 //! writer (stable key order — objects are ordered vectors, not maps) and a
 //! strict recursive-descent parser. [`crate::solver::SolveReport`] round-trips
-//! through it, and the `quhe-bench` report writer emits every `BENCH_*.json`
-//! artifact with it.
+//! through it, and the `quhe-bench` report writer emits the `BENCH_batch.json`
+//! and `BENCH_online.json` artifacts with it.
 //!
 //! Numbers are stored as their JSON token text ([`JsonValue::Number`] wraps a
 //! `String`), so integer exactness and `f64` shortest-round-trip formatting
@@ -198,7 +198,7 @@ impl JsonValue {
     }
 
     /// Serializes with two-space indentation and a trailing newline — the
-    /// format of every `BENCH_*.json` artifact.
+    /// format of the `quhe-bench` artifacts.
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);

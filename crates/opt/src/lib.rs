@@ -23,11 +23,9 @@
 //!   problems,
 //! * a generic best-first branch-and-bound engine ([`bnb`]),
 //! * the quadratic-transform fractional-programming driver of Shen & Yu
-//!   ([`fractional`]),
+//!   ([`fractional`]), and
 //! * simulated annealing ([`annealing`]) and random search ([`random_search`])
-//!   baselines, and
-//! * a block-coordinate / alternating-optimization driver with convergence
-//!   tracking ([`block`]).
+//!   baselines.
 //!
 //! # Example
 //!
@@ -51,7 +49,6 @@
 
 pub mod annealing;
 pub mod barrier;
-pub mod block;
 pub mod bnb;
 pub mod diff;
 pub mod error;
@@ -69,7 +66,6 @@ pub use error::{OptError, OptResult};
 pub mod prelude {
     pub use crate::annealing::{SimulatedAnnealing, SimulatedAnnealingConfig};
     pub use crate::barrier::{BarrierConfig, BarrierSolver, InequalityProblem};
-    pub use crate::block::{BlockDescent, BlockDescentConfig, BlockTrace};
     pub use crate::bnb::{BranchAndBound, BranchAndBoundConfig, DiscreteProblem};
     pub use crate::diff::{central_gradient, central_hessian};
     pub use crate::error::{OptError, OptResult};

@@ -131,8 +131,8 @@ impl CacheStats {
         self.anchor_hits + self.anchor_misses
     }
 
-    /// Serializes the snapshot (with the derived lookup totals) for the
-    /// bench artifacts' `cache` telemetry blocks.
+    /// Serializes the snapshot, with the derived lookup totals, as one JSON
+    /// telemetry block.
     pub fn to_json_value(&self) -> JsonValue {
         JsonValue::object()
             .with("entries", JsonValue::from_usize(self.entries))

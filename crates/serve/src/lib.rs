@@ -5,8 +5,8 @@
 //! drifted variant, or inline parameters), a registry solver and a
 //! [`SolveSpec`](quhe_core::solver::SolveSpec); responses carry a
 //! [`SolveReport`](quhe_core::solver::SolveReport) plus serving metadata.
-//! Both sides are JSON through [`quhe_core::json`], so the protocol shares
-//! the report vocabulary of every `BENCH_*.json` artifact.
+//! Both sides are JSON through [`quhe_core::json`], the one JSON path of
+//! the workspace.
 //!
 //! The service's core is a **content-addressed cache** keyed by the
 //! canonical scenario fingerprints of [`quhe_core::fingerprint`], with LRU
@@ -26,8 +26,7 @@
 //! * everything else solves cold and populates the cache.
 //!
 //! The cache keeps consistent telemetry ([`CacheStats`]) surfaced through
-//! [`service::SolveService::stats`] and the bench artifacts' `cache`
-//! blocks.
+//! [`service::SolveService::stats`].
 //!
 //! In front of the cache sits a [`coalesce`] singleflight table: identical
 //! requests arriving **concurrently** elect one leader that solves while
@@ -44,9 +43,8 @@
 //! [`ServiceConfig`] builder.
 //!
 //! [`SolveService::handle_batch`] shards request streams across the scoped
-//! worker pool with all workers sharing one cache. The `serve_bench` and
-//! `load_bench` binaries in `quhe-bench` drive this service (in-process and
-//! over TCP respectively) and emit `BENCH_serve.json` / `BENCH_load.json`;
+//! worker pool with all workers sharing one cache. The repository
+//! benchmark in `perfbench/` drives this service over a real [`TcpServer`];
 //! `examples/serve_roundtrip.rs` walks the JSON protocol end to end and
 //! `examples/tcp_client.rs` the framed TCP front end.
 //!

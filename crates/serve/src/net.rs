@@ -163,7 +163,10 @@ pub struct NetStats {
     pub connections: usize,
     /// Complete frames received (well-formed or not).
     pub frames: usize,
-    /// Response frames written (success and error envelopes alike).
+    /// Response frames written (success and error envelopes alike). A
+    /// frame is counted before its bytes reach the socket, so a reply a
+    /// client has read is always counted; a frame whose write fails is
+    /// uncounted again.
     pub responses: usize,
     /// Requests shed because the admission queue was full — each was
     /// answered with an `overloaded` error envelope.
@@ -189,12 +192,15 @@ impl Shared {
         bump(&mut lock(&self.counters));
     }
 
-    /// Writes one response frame, counting it; write failures are ignored —
-    /// the client may already be gone, which is its prerogative.
+    /// Writes one response frame, counting it. The count moves before the
+    /// write: a client may read the frame the moment its bytes reach the
+    /// socket, and a snapshot taken after that must already include it. A
+    /// failed write takes its count back — the client may already be gone,
+    /// which is its prerogative, and nothing was delivered.
     fn respond(&self, writer: &Mutex<TcpStream>, body: &str) {
-        let mut stream = lock(writer);
-        if wire::write_frame(&mut *stream, body.as_bytes()).is_ok() {
-            self.count(|c| c.responses += 1);
+        self.count(|c| c.responses += 1);
+        if wire::write_frame(&mut *lock(writer), body.as_bytes()).is_err() {
+            self.count(|c| c.responses -= 1);
         }
     }
 }

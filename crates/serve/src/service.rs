@@ -1220,35 +1220,59 @@ mod tests {
     #[test]
     fn a_snapshot_restored_service_answers_its_working_set_as_hits() {
         let service = quick_service();
-        let requests: Vec<SolveRequest> = (1..=3)
+        // The working set: three paper_default seeds, every other catalogue
+        // world once, and one drift step that is served warm.
+        let mut requests: Vec<SolveRequest> = (1..=3)
             .map(|seed| SolveRequest::catalog("paper_default", seed))
             .collect();
-        let originals: Vec<SolveResponse> = requests
+        requests.extend(
+            service
+                .catalog()
+                .names()
+                .into_iter()
+                .filter(|&name| name != "paper_default")
+                .map(|name| SolveRequest::catalog(name, 1)),
+        );
+        let mut originals: Vec<SolveResponse> = requests
             .iter()
             .map(|r| service.handle(r).unwrap())
             .collect();
         assert!(originals.iter().all(|r| r.cache == CacheOutcome::Cold));
+        let drifted = SolveRequest::drifted("paper_default", 1, 1);
+        let warm = service.handle(&drifted).unwrap();
+        assert!(
+            matches!(warm.cache, CacheOutcome::Warm | CacheOutcome::WarmFallback),
+            "{:?}",
+            warm.cache
+        );
+        requests.push(drifted);
+        originals.push(warm);
 
-        // "Restart": a fresh service warmed from the snapshot answers the
-        // same working set bit-identically with zero solver work.
-        let snapshot = service.cache().snapshot();
+        // "Restart": the snapshot goes through its text form and back, as
+        // it would through a file, and a fresh service warmed from it
+        // answers the same working set bit-identically with zero solver
+        // work.
+        let text = service.cache().snapshot().to_compact_string();
         let restarted = ServiceConfig::new(quick_config())
-            .with_cache_snapshot(snapshot)
+            .with_cache_snapshot(JsonValue::parse(&text).unwrap())
             .build();
-        assert_eq!(restarted.cache().len(), 3);
+        assert_eq!(restarted.cache().len(), requests.len());
         assert!(restarted.config().cache_snapshot().is_none());
         for (request, original) in requests.iter().zip(&originals) {
             let replay = restarted.handle(request).unwrap();
-            assert_eq!(replay.cache, CacheOutcome::Hit);
+            assert_eq!(replay.cache, CacheOutcome::Hit, "{}", request.to_json());
             assert_eq!(replay.report, original.report);
             assert_eq!(
                 replay.report.runtime_s.to_bits(),
                 original.report.runtime_s.to_bits()
             );
+            assert_eq!(replay.report.to_json(), original.report.to_json());
         }
         let stats = restarted.stats();
         assert_eq!(stats.cold_solves, 0);
-        assert_eq!(stats.exact_hits, 3);
+        assert_eq!(stats.warm_hits, 0);
+        assert_eq!(stats.warm_fallbacks, 0);
+        assert_eq!(stats.exact_hits, requests.len());
 
         // A rejected snapshot surfaces as an error through try_build.
         let err = ServiceConfig::new(quick_config())

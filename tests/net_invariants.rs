@@ -1,9 +1,10 @@
 //! Loopback invariants of the framed TCP front end: coalescing across real
-//! connections, malformed-frame resilience, and shed-load envelopes.
+//! connections, malformed-frame resilience, shed-load envelopes, and front-end
+//! counters that account for every reply a client has read.
 //!
-//! These tests exercise the full path the `load_bench` harness measures:
-//! client socket → frame codec → admission queue → worker pool →
-//! `SolveService` (cache + singleflight) → response frame.
+//! These tests exercise the full path the repository benchmark in
+//! `perfbench/` measures: client socket → frame codec → admission queue →
+//! worker pool → `SolveService` (cache + singleflight) → response frame.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -70,6 +71,12 @@ fn concurrent_identical_requests_over_tcp_coalesce_to_one_solve() {
         }
     }
 
+    // Every reply has been read, so every frame is counted as answered: a
+    // response is counted before its bytes can reach the client.
+    let net = server.stats();
+    assert_eq!(net.frames, clients, "net: {net:?}");
+    assert_eq!(net.frames, net.responses, "net: {net:?}");
+
     // However the scheduler interleaved the workers, the world was solved
     // exactly once; everyone got that solve bit-identically.
     let stats = service.stats();
@@ -94,6 +101,9 @@ fn concurrent_identical_requests_over_tcp_coalesce_to_one_solve() {
     assert_eq!(after.cache, CacheOutcome::Hit);
     assert_eq!(after.id.as_deref(), Some("late"));
     assert_eq!(after.report, *reference);
+    let net = server.stats();
+    assert_eq!(net.frames, clients + 1, "net: {net:?}");
+    assert_eq!(net.frames, net.responses, "net: {net:?}");
 
     server.shutdown();
 }
@@ -218,8 +228,12 @@ fn a_full_admission_queue_sheds_with_the_overloaded_envelope() {
     assert_eq!(served + shed, burst);
     assert!(shed > 0, "a 16-deep burst into a 1-slot queue must shed");
     assert!(served > 0, "admitted requests must still be answered");
+    // Served and shed replies alike were counted before the client read
+    // them.
     let stats = server.stats();
     assert_eq!(stats.shed, shed);
+    assert_eq!(stats.frames, burst, "stats: {stats:?}");
+    assert_eq!(stats.frames, stats.responses, "stats: {stats:?}");
     assert_eq!(service.stats().total(), served);
     server.shutdown();
 }

@@ -9,7 +9,9 @@
 //!   produced the report, never the lookup's;
 //! * a warm near-miss response never falls below the cold single-start
 //!   floor of its own scenario — the serve layer inherits the online
-//!   engine's fallback guarantee.
+//!   engine's fallback guarantee;
+//! * warm serving costs fewer outer iterations on the latency path than
+//!   cold solves of the same drifted scenarios.
 
 use quhe::prelude::*;
 
@@ -130,6 +132,45 @@ fn warm_near_misses_never_fall_below_the_single_start_floor() {
         }
     }
     assert!(warm_served >= grid().len(), "warm path barely exercised");
+}
+
+#[test]
+fn warm_serving_spends_fewer_outer_iterations_than_cold_solves() {
+    // A budget with room to iterate: with the test config's two outer
+    // iterations a cold solve cannot spend more than the warm path.
+    let config = QuheConfig {
+        max_outer_iterations: 6,
+        max_stage3_iterations: 20,
+        ..test_config()
+    };
+    let service = ServiceConfig::new(config).build();
+    let cold_solver = QuheSolver::new(config);
+    let (mut warm_path, mut cold) = (0usize, 0usize);
+    for (name, seed) in grid() {
+        service.handle(&SolveRequest::catalog(&name, seed)).unwrap();
+        for step in 1..=2 {
+            let request = SolveRequest::drifted(&name, seed, step);
+            let response = service.handle(&request).unwrap();
+            assert!(
+                matches!(
+                    response.cache,
+                    CacheOutcome::Warm | CacheOutcome::WarmFallback
+                ),
+                "{name} seed {seed} step {step}: drifted request served {:?}",
+                response.cache
+            );
+            let scenario = service.resolve_scenario(&request.scenario).unwrap();
+            let reference = cold_solver.solve(&scenario, &request.spec).unwrap();
+            // The path bill is the warm solve plus any cold fallback; the
+            // floor guard is billed apart.
+            warm_path += response.path_outer_iterations;
+            cold += reference.outer_iterations;
+        }
+    }
+    assert!(
+        warm_path < cold,
+        "warm serving spent {warm_path} path outer iterations, cold solves {cold}"
+    );
 }
 
 #[test]
