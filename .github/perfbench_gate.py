@@ -13,8 +13,10 @@ zero and net.frames_minus_responses == 0.
 `check` also fails when
 * a workload's objective_mean differs from the reference (the figure is exact
   for a fixed seed and window), or
-* for any world, the median of stage3.solve_s.<world> over the three traced
-  runs exceeds STAGE3_GATE times the reference median.
+* for any world, the median of stage3.solve_s.<world> over the five traced
+  runs exceeds STAGE3_GATE times the reference median. Each traced run times
+  one probe solve per world, so the median needs enough runs to ride out a
+  slow probe on a small shared host.
 
 `record` takes more traced runs and rewrites the reference from them. Run it
 after a change that moves the served objectives or the Stage-3 cost.
@@ -35,7 +37,7 @@ WORLDS = ["paper_default", "dense_cell", "heterogeneous_devices", "far_edge", "b
 SEED = 7
 SECONDS = 5
 TRACED_SECONDS = 3
-TRACED_RUNS = {"check": 3, "record": 7}
+TRACED_RUNS = {"check": 5, "record": 7}
 STAGE3_GATE = 2.0
 COMMAND = ["cargo", "run", "--release", "--offline", "--quiet",
            "--manifest-path", "perfbench/Cargo.toml", "--"]

@@ -10,10 +10,11 @@
 //!
 //! All three share the Stage-1 `(phi, w)` solution, matching the paper's
 //! Fig. 5(d) setup ("assuming the optimal `U_qkd` is obtained in Stage 1").
-//! They live as registered [`Solver`] implementations — `"aa"`, `"olaa"`,
-//! `"occr"` in [`SolverRegistry::builtin`](crate::solver::SolverRegistry) —
-//! and the free functions here are **deprecated shims** over that surface,
-//! pinned bit-identical by `tests/solver_parity.rs`.
+//! They are the registered solvers [`AaSolver`](crate::solver::AaSolver),
+//! [`OlaaSolver`](crate::solver::OlaaSolver) and
+//! [`OccrSolver`](crate::solver::OccrSolver) — `"aa"`, `"olaa"` and `"occr"`
+//! in [`SolverRegistry::builtin`](crate::solver::SolverRegistry::builtin);
+//! this module holds the Stage-1 start they share.
 //!
 //! Stage-1 baselines (Fig. 5(b)/(c), Tables V and VI): plain gradient descent
 //! with learning rate 0.01, simulated annealing, and random selection over
@@ -35,37 +36,10 @@ use rand::Rng;
 
 use crate::error::{QuheError, QuheResult};
 use crate::metrics::MethodMetrics;
-use crate::params::QuheConfig;
 use crate::problem::Problem;
-use crate::scenario::SystemScenario;
-use crate::solver::{AaSolver, OccrSolver, OlaaSolver, SolveReport, SolveSpec, Solver};
+use crate::solver::{SolveReport, SolveSpec};
 use crate::stage1::{Stage1Result, Stage1Solver};
 use crate::variables::DecisionVariables;
-
-/// Result of one whole-procedure baseline (the legacy result shape; the
-/// unified surface returns [`SolveReport`]).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct BaselineResult {
-    /// Name of the baseline ("AA", "OLAA", "OCCR").
-    pub name: String,
-    /// The variable assignment the baseline produces.
-    pub variables: DecisionVariables,
-    /// The evaluation metrics of that assignment.
-    pub metrics: MethodMetrics,
-    /// Wall-clock runtime in seconds.
-    pub runtime_s: f64,
-}
-
-impl BaselineResult {
-    fn from_report(name: &str, report: SolveReport) -> Self {
-        Self {
-            name: name.to_string(),
-            variables: report.variables,
-            metrics: report.metrics,
-            runtime_s: report.runtime_s,
-        }
-    }
-}
 
 pub(crate) fn shared_stage1_start(
     problem: &Problem,
@@ -76,42 +50,6 @@ pub(crate) fn shared_stage1_start(
     vars.w = stage1.w.clone();
     vars.delay_bound = problem.system_cost(&vars)?.total_delay_s;
     Ok((vars, stage1))
-}
-
-/// The **AA** baseline: `lambda = 2^15`, `p = p^(max)`, `b = B_total / N`,
-/// `f^(c) = f^(max)`, `f^(s) = f_total / N`.
-///
-/// # Errors
-/// Propagates substrate and solver errors.
-#[deprecated(note = "use `AaSolver` (registry name \"aa\") with `SolveSpec::cold()` instead")]
-pub fn average_allocation(
-    scenario: &SystemScenario,
-    config: &QuheConfig,
-) -> QuheResult<BaselineResult> {
-    let report = AaSolver::new(*config).solve(scenario, &SolveSpec::cold())?;
-    Ok(BaselineResult::from_report("AA", report))
-}
-
-/// The **OLAA** baseline: optimize `lambda` with Stage 2, keep the
-/// average-allocated communication and computation resources.
-///
-/// # Errors
-/// Propagates substrate and solver errors.
-#[deprecated(note = "use `OlaaSolver` (registry name \"olaa\") with `SolveSpec::cold()` instead")]
-pub fn olaa(scenario: &SystemScenario, config: &QuheConfig) -> QuheResult<BaselineResult> {
-    let report = OlaaSolver::new(*config).solve(scenario, &SolveSpec::cold())?;
-    Ok(BaselineResult::from_report("OLAA", report))
-}
-
-/// The **OCCR** baseline: optimize the communication and computation
-/// resources with Stage 3, keep `lambda = 2^15`.
-///
-/// # Errors
-/// Propagates substrate and solver errors.
-#[deprecated(note = "use `OccrSolver` (registry name \"occr\") with `SolveSpec::cold()` instead")]
-pub fn occr(scenario: &SystemScenario, config: &QuheConfig) -> QuheResult<BaselineResult> {
-    let report = OccrSolver::new(*config).solve(scenario, &SolveSpec::cold())?;
-    Ok(BaselineResult::from_report("OCCR", report))
 }
 
 /// Builds the unified report of a Stage-1 baseline: the found `(phi, w)`
@@ -290,6 +228,8 @@ pub fn stage1_random_selection<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::QuheConfig;
+    use crate::scenario::SystemScenario;
     use crate::solver::SolverRegistry;
     use rand::SeedableRng;
 

@@ -16,15 +16,16 @@
 //! * [`stage2`] — CKKS polynomial degrees via branch-and-bound (Algorithm 2).
 //! * [`stage3`] — transmit powers, bandwidths and CPU frequencies via
 //!   quadratic-transform fractional programming (Eqs. 25–28, Algorithm 3).
-//! * [`quhe`] — the complete alternating procedure (Algorithm 4).
-//! * [`solver`] — the unified solver surface: the [`solver::Solver`] trait,
-//!   the [`solver::SolveSpec`] request builder, the [`solver::SolveReport`]
+//! * [`quhe`] — the complete alternating procedure (Algorithm 4), run by
+//!   [`solver::QuheSolver`].
+//! * [`solver`] — the one solve surface: the [`solver::Solver`] trait, the
+//!   [`solver::SolveSpec`] request builder, the [`solver::SolveReport`]
 //!   result type and the named [`solver::SolverRegistry`] of built-in
 //!   solvers (`quhe`, `aa`, `olaa`, `occr`). Every harness routes through
-//!   this; the legacy entry points on [`quhe::QuheAlgorithm`] and in
-//!   [`baselines`] are deprecated shims over it.
-//! * [`baselines`] — AA, OLAA and OCCR, plus the Stage-1 baselines (gradient
-//!   descent, simulated annealing, random selection) of Section VI-B.
+//!   it.
+//! * [`baselines`] — the Stage-1 start shared by the AA, OLAA and OCCR
+//!   solvers, plus the Stage-1 baselines (gradient descent, simulated
+//!   annealing, random selection) of Section VI-B.
 //! * [`json`] — the minimal JSON tree, writer and parser that
 //!   [`solver::SolveReport`] and the `quhe-bench` artifacts serialize
 //!   through (the offline build's working substitute for serde).
@@ -40,8 +41,9 @@
 //!   worlds), the unit of the parallel batch-evaluation pipeline.
 //! * [`online`] — the online dynamic-world engine: seed-deterministic
 //!   system-level event traces ([`online::SystemTrace`]) and
-//!   [`quhe::QuheAlgorithm::solve_online`], which tracks a drifting world
-//!   via warm-started incremental re-solves with a cold-solve fallback.
+//!   [`online::solve_online_with`], which tracks a drifting world with any
+//!   solver via warm-started incremental re-solves with a cold-solve
+//!   fallback.
 //!
 //! # Example
 //!
@@ -83,13 +85,8 @@ pub use error::{QuheError, QuheResult};
 
 /// Commonly used items, re-exported for convenient glob import.
 pub mod prelude {
-    // The deprecated legacy entry points stay importable through the prelude
-    // for one deprecation cycle; using them still warns at the call site.
-    #[allow(deprecated)]
-    pub use crate::baselines::{average_allocation, occr, olaa};
     pub use crate::baselines::{
         stage1_gradient_descent, stage1_random_selection, stage1_simulated_annealing,
-        BaselineResult,
     };
     pub use crate::error::{QuheError, QuheResult};
     pub use crate::fingerprint::Fingerprint;
@@ -101,7 +98,6 @@ pub mod prelude {
     };
     pub use crate::params::{ObjectiveWeights, QuheConfig};
     pub use crate::problem::Problem;
-    pub use crate::quhe::{QuheAlgorithm, QuheOutcome};
     pub use crate::registry::ScenarioCatalog;
     pub use crate::sampling::{sample_initial_points, OptimalityStudy};
     pub use crate::scenario::SystemScenario;

@@ -22,8 +22,6 @@
 //! kind, outer iterations, stage calls, wall-clock) is recorded so the
 //! warm-start saving is measurable — `online_eval` in `quhe-bench` turns
 //! those records into `BENCH_online.json`.
-//! [`QuheAlgorithm::solve_online`] is the QuHE-specific convenience over the
-//! same engine.
 
 use std::time::Instant;
 
@@ -34,10 +32,9 @@ use quhe_qkd::topology::synthetic_scenario;
 use crate::error::{QuheError, QuheResult};
 use crate::params::QuheConfig;
 use crate::problem::Problem;
-use crate::quhe::QuheAlgorithm;
 use crate::registry::ScenarioCatalog;
 use crate::scenario::SystemScenario;
-use crate::solver::{QuheSolver, SolveReport, SolveSpec, Solver};
+use crate::solver::{SolveReport, SolveSpec, Solver};
 use crate::variables::DecisionVariables;
 
 /// Stylized secret-key yield per entangled pair used by the key-pool ledger
@@ -477,7 +474,7 @@ pub fn prepare_warm_tracking(
 pub fn solve_online_with(solver: &dyn Solver, trace: &SystemTrace) -> QuheResult<OnlineOutcome> {
     if trace.is_empty() {
         return Err(QuheError::InvalidConfig {
-            reason: "solve_online needs a trace with at least one step".to_string(),
+            reason: "solve_online_with needs a trace with at least one step".to_string(),
         });
     }
     let base = *solver.config();
@@ -637,32 +634,10 @@ pub fn solve_online_with(solver: &dyn Solver, trace: &SystemTrace) -> QuheResult
     Ok(OnlineOutcome { records, outcomes })
 }
 
-impl QuheAlgorithm {
-    /// The per-step configuration (see the free [`step_config`]).
-    pub fn step_config(&self, step: &SystemStep) -> QuheConfig {
-        step_config(self.config(), step)
-    }
-
-    /// The per-step anchor configuration (see the free [`anchor_config`]).
-    pub fn anchor_config(&self, step: &SystemStep) -> QuheConfig {
-        anchor_config(self.config(), step)
-    }
-
-    /// Tracks a dynamic world online with the QuHE solver — the convenience
-    /// form of [`solve_online_with`] with a [`QuheSolver`] under this
-    /// driver's configuration.
-    ///
-    /// # Errors
-    /// * [`QuheError::InvalidConfig`] for an empty trace.
-    /// * Solver and substrate errors from the per-step solves.
-    pub fn solve_online(&self, trace: &SystemTrace) -> QuheResult<OnlineOutcome> {
-        solve_online_with(&QuheSolver::new(*self.config()), trace)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::QuheSolver;
 
     fn quick_config() -> QuheConfig {
         QuheConfig {
@@ -734,11 +709,10 @@ mod tests {
         let trace =
             SystemTrace::generate(&catalog, "paper_default", 5, &OnlineTraceConfig::frozen(3))
                 .unwrap();
-        let algorithm = QuheAlgorithm::new(quick_config());
-        let online = algorithm.solve_online(&trace).unwrap();
+        let online = solve_online_with(&QuheSolver::new(quick_config()), &trace).unwrap();
         assert_eq!(online.records[0].kind, SolveKind::Cold);
         assert_eq!(online.count(SolveKind::Cached), 3);
-        let cold = QuheSolver::new(algorithm.anchor_config(&trace.steps()[0]))
+        let cold = QuheSolver::new(anchor_config(&quick_config(), &trace.steps()[0]))
             .solve(&trace.steps()[0].scenario, &SolveSpec::cold())
             .unwrap();
         for outcome in &online.outcomes {
@@ -761,8 +735,8 @@ mod tests {
             &OnlineTraceConfig::drift_only(3),
         )
         .unwrap();
-        let algorithm = QuheAlgorithm::new(quick_config());
-        let online = algorithm.solve_online(&drift).unwrap();
+        let solver = QuheSolver::new(quick_config());
+        let online = solve_online_with(&solver, &drift).unwrap();
         for record in &online.records[1..] {
             assert!(
                 matches!(record.kind, SolveKind::Warm | SolveKind::WarmFallback),
@@ -790,7 +764,7 @@ mod tests {
             counts.windows(2).any(|w| w[0] != w[1]),
             "expected churn in {counts:?}"
         );
-        let online = algorithm.solve_online(&churn).unwrap();
+        let online = solve_online_with(&solver, &churn).unwrap();
         let structural_cold = online.records[1..]
             .iter()
             .filter(|r| r.kind == SolveKind::Cold)
@@ -810,10 +784,10 @@ mod tests {
             ..OnlineTraceConfig::default()
         };
         let trace = SystemTrace::generate(&catalog, "paper_default", 11, &config).unwrap();
-        let algorithm = QuheAlgorithm::new(quick_config());
-        let online = algorithm.solve_online(&trace).unwrap();
+        let online = solve_online_with(&QuheSolver::new(quick_config()), &trace).unwrap();
         for (outcome, step) in online.outcomes.iter().zip(trace.steps()) {
-            let problem = Problem::new(step.scenario.clone(), algorithm.step_config(step)).unwrap();
+            let problem =
+                Problem::new(step.scenario.clone(), step_config(&quick_config(), step)).unwrap();
             problem.check_feasible(&outcome.variables).unwrap();
         }
         assert!(online.total_runtime_s() > 0.0);
@@ -856,9 +830,8 @@ mod tests {
                 .unwrap();
         let mut step = trace.steps()[1].clone();
         step.delay_weight_factor = 2.0;
-        let algorithm = QuheAlgorithm::new(quick_config());
-        let config = algorithm.step_config(&step);
-        assert_eq!(config.weights.delay, 2.0 * algorithm.config().weights.delay);
+        let config = step_config(&quick_config(), &step);
+        assert_eq!(config.weights.delay, 2.0 * quick_config().weights.delay);
     }
 
     #[test]
@@ -868,9 +841,7 @@ mod tests {
             seed: 0,
             steps: Vec::new(),
         };
-        let err = QuheAlgorithm::new(quick_config())
-            .solve_online(&trace)
-            .unwrap_err();
+        let err = solve_online_with(&QuheSolver::new(quick_config()), &trace).unwrap_err();
         assert!(err.to_string().contains("at least one step"));
     }
 }

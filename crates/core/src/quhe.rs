@@ -2,14 +2,10 @@
 //! optimization over the three blocks `(phi, w)`, `(lambda, T)` and
 //! `(p, b, f^(c), f^(s), T)` until the objective converges.
 //!
-//! The public entry points of this driver are **deprecated shims** over the
-//! unified solver surface in [`crate::solver`] — construct a
-//! [`QuheSolver`] (or look up `"quhe"` in
-//! [`crate::solver::SolverRegistry::builtin`]) and describe the run with a
-//! [`SolveSpec`] instead. The shims delegate to the exact same
-//! implementation and are pinned bit-identical by `tests/solver_parity.rs`;
-//! they remain for one deprecation cycle (see the README deprecation
-//! policy).
+//! The alternation is reached only through
+//! [`QuheSolver`](crate::solver::QuheSolver) (registry name `"quhe"` in
+//! [`crate::solver::SolverRegistry::builtin`]): a [`SolveSpec`] describes
+//! the run and a [`SolveReport`] carries its result.
 
 use std::time::Instant;
 
@@ -17,12 +13,10 @@ use crate::error::{QuheError, QuheResult};
 use crate::metrics::MethodMetrics;
 use crate::params::QuheConfig;
 use crate::problem::Problem;
-use crate::scenario::SystemScenario;
-use crate::solver::{QuheSolver, SolveReport, SolveSpec, Solver};
-use crate::stage1::{Stage1Result, Stage1Solver};
-use crate::stage2::{Stage2Result, Stage2Solver};
-use crate::stage3::{Stage3Result, Stage3Solver};
-use crate::variables::DecisionVariables;
+use crate::solver::{InstrumentationLevel, SolveReport, SolveSpec, StartMode};
+use crate::stage1::Stage1Solver;
+use crate::stage2::Stage2Solver;
+use crate::stage3::Stage3Solver;
 
 /// Per-outer-iteration record of the alternating optimization.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -37,272 +31,136 @@ pub struct OuterIterationRecord {
     pub after_stage3: f64,
 }
 
-/// Result of a full QuHE run (the legacy result shape; the unified surface
-/// returns [`SolveReport`], which carries the same payload plus the solver
-/// name and spec echo).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct QuheOutcome {
-    /// The final variable assignment.
-    pub variables: DecisionVariables,
-    /// The objective of Eq. (17) at the final assignment (with `T` tightened
-    /// to the actual maximum delay).
-    pub objective: f64,
-    /// The evaluation metric bundle at the final assignment.
-    pub metrics: MethodMetrics,
-    /// Number of outer (Algorithm 4) iterations performed.
-    pub outer_iterations: usize,
-    /// Whether the outer loop met the tolerance before its iteration cap.
-    pub converged: bool,
-    /// Objective after each stage of each outer iteration.
-    pub outer_trace: Vec<OuterIterationRecord>,
-    /// The Stage-1 result of the final outer iteration (per-stage convergence
-    /// traces for Fig. 4(a)).
-    pub stage1: Stage1Result,
-    /// The Stage-2 result of the final outer iteration (Fig. 4(b)).
-    pub stage2: Stage2Result,
-    /// The Stage-3 result of the final outer iteration (Fig. 4(c)/(d)).
-    pub stage3: Stage3Result,
-    /// Number of calls made to each stage, `[stage1, stage2, stage3]`
-    /// (Fig. 5(a)).
-    pub stage_calls: [usize; 3],
-    /// Total wall-clock runtime in seconds (Fig. 5(a)).
-    pub runtime_s: f64,
-}
+/// Runs Algorithm 4 on a prepared problem under `config` (the spec-effective
+/// configuration the problem was built with), starting from the spec's start
+/// point, and returns the report of the `"quhe"` solver with every telemetry
+/// slot filled; [`QuheSolver`](crate::solver::QuheSolver) applies the spec's
+/// instrumentation level to it.
+///
+/// # Errors
+/// * [`QuheError::InvalidConfig`] for an invalid configuration.
+/// * [`QuheError::DimensionMismatch`] when a [`StartMode::WarmFrom`] start
+///   does not match the problem's client and link counts.
+/// * Substrate and stage-solver errors.
+pub(crate) fn alternate(
+    config: &QuheConfig,
+    problem: &Problem,
+    spec: &SolveSpec,
+) -> QuheResult<SolveReport> {
+    config.validate()?;
+    let wall_clock = Instant::now();
+    let stage1_solver = Stage1Solver::new();
+    let stage2_solver = Stage2Solver::new();
+    let stage3_solver = Stage3Solver::new(config.max_stage3_iterations, config.tolerance * 1e-2)
+        .with_threads(config.solver_threads)
+        .with_start_budget(spec.multi_start_budget())
+        .with_start_pruning(spec.start_pruning());
+    let with_gap_trace = spec.instrumentation() == InstrumentationLevel::Full;
 
-/// How one invocation of the alternating loop runs — the resolved form of a
-/// [`SolveSpec`] once the start point has been materialized.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RunOptions {
-    /// Whether Stage 3 explores the canonical multi-start points on new
-    /// `lambda` surfaces.
-    pub(crate) stage3_multi_start: bool,
-    /// Number of canonical extra starts in multi-start mode.
-    pub(crate) stage3_start_budget: usize,
-    /// Whether Stage 3 may abandon dominated canonical starts early (never
-    /// changes the winner; see [`crate::stage3::Stage3Solver::with_start_pruning`]).
-    pub(crate) stage3_prune_starts: bool,
-    /// Whether each Stage-3 call also records the interior-point duality-gap
-    /// trace (never changes the solution; extra polish work).
-    pub(crate) with_gap_trace: bool,
-}
-
-/// The QuHE algorithm driver.
-#[derive(Debug, Clone, Copy)]
-pub struct QuheAlgorithm {
-    config: QuheConfig,
-}
-
-impl QuheAlgorithm {
-    /// Creates the driver with the given configuration.
-    pub fn new(config: QuheConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &QuheConfig {
-        &self.config
-    }
-
-    fn solver(&self) -> QuheSolver {
-        QuheSolver::new(self.config)
-    }
-
-    /// Runs Algorithm 4 on the scenario, starting from the deterministic
-    /// feasible point of [`Problem::initial_point`].
-    ///
-    /// # Errors
-    /// Propagates configuration, substrate and solver errors.
-    #[deprecated(
-        note = "use `QuheSolver` (registry name \"quhe\") with `SolveSpec::cold()` instead"
-    )]
-    pub fn solve(&self, scenario: &SystemScenario) -> QuheResult<QuheOutcome> {
-        self.solver()
-            .solve(scenario, &SolveSpec::cold())?
-            .into_quhe_outcome()
-    }
-
-    /// Solves every scenario of a batch concurrently on a scoped worker pool
-    /// (`threads = 0` sizes the pool to the machine, `1` runs serially) and
-    /// returns the outcomes in input order, bit-identical to a serial loop.
-    #[deprecated(
-        note = "use `Solver::solve_batch` on a `QuheSolver` with `SolveSpec::cold()` instead"
-    )]
-    pub fn solve_batch(
-        &self,
-        scenarios: &[SystemScenario],
-        threads: usize,
-    ) -> Vec<QuheResult<QuheOutcome>> {
-        Solver::solve_batch(&self.solver(), scenarios, &SolveSpec::cold(), threads)
-            .into_iter()
-            .map(|report| report.and_then(SolveReport::into_quhe_outcome))
-            .collect()
-    }
-
-    /// Runs Algorithm 4 from the deterministic initial point with Stage 3
-    /// restricted to the single start carried through the alternation — no
-    /// multi-start basin exploration. This is the "cold single-start" solve:
-    /// the cheapest from-scratch solve, and the floor that the online
-    /// engine's warm-started steps are guaranteed never to fall below.
-    ///
-    /// # Errors
-    /// Propagates configuration, substrate and solver errors.
-    #[deprecated(
-        note = "use `QuheSolver` (registry name \"quhe\") with `SolveSpec::single_start()` instead"
-    )]
-    pub fn solve_single_start(&self, scenario: &SystemScenario) -> QuheResult<QuheOutcome> {
-        self.solver()
-            .solve(scenario, &SolveSpec::single_start())?
-            .into_quhe_outcome()
-    }
-
-    /// Runs Algorithm 4 from an explicit starting point with multi-start
-    /// exploration (used by the Fig. 3 optimality study, which samples random
-    /// initial resource configurations). The given problem is reused as-is,
-    /// exactly as before the deprecation.
-    ///
-    /// # Errors
-    /// Propagates configuration, substrate and solver errors.
-    #[deprecated(
-        note = "use `QuheSolver` with `SolveSpec::warm_from(start).with_multi_start(true)` instead"
-    )]
-    pub fn solve_from(
-        &self,
-        problem: &Problem,
-        start: DecisionVariables,
-    ) -> QuheResult<QuheOutcome> {
-        self.solver()
-            .solve_prepared(problem, &SolveSpec::warm_from(start).with_multi_start(true))?
-            .into_quhe_outcome()
-    }
-
-    /// Like [`QuheAlgorithm::solve_from`] but with Stage 3 restricted to the
-    /// warm start throughout (no multi-start exploration) — the tracking mode
-    /// of the online engine.
-    ///
-    /// # Errors
-    /// Propagates configuration, substrate and solver errors.
-    #[deprecated(note = "use `QuheSolver` with `SolveSpec::warm_from(start)` instead")]
-    pub fn solve_from_warm(
-        &self,
-        problem: &Problem,
-        start: DecisionVariables,
-    ) -> QuheResult<QuheOutcome> {
-        self.solver()
-            .solve_prepared(problem, &SolveSpec::warm_from(start))?
-            .into_quhe_outcome()
-    }
-
-    pub(crate) fn run_from(
-        &self,
-        problem: &Problem,
-        start: DecisionVariables,
-        options: RunOptions,
-    ) -> QuheResult<QuheOutcome> {
-        self.config.validate()?;
-        let wall_clock = Instant::now();
-        let stage1_solver = Stage1Solver::new();
-        let stage2_solver = Stage2Solver::new();
-        let stage3_solver = Stage3Solver::new(
-            self.config.max_stage3_iterations,
-            self.config.tolerance * 1e-2,
-        )
-        .with_threads(self.config.solver_threads)
-        .with_start_budget(options.stage3_start_budget)
-        .with_start_pruning(options.stage3_prune_starts);
-
-        let mut vars = start;
-        let mut best_objective = problem.objective_with_max_delay(&vars)?;
-        let mut outer_trace = Vec::new();
-        let mut stage_calls = [0usize; 3];
-        let mut converged = false;
-
-        // Stage 1 does not depend on the other blocks (the paper drops the
-        // constant terms), so its result is computed once and reused; the
-        // loop below still re-records it per iteration for the trace.
-        let stage1 = stage1_solver.solve(problem)?;
-        stage_calls[0] += 1;
-        vars.phi = stage1.phi.clone();
-        vars.w = stage1.w.clone();
-        let mut last_stage2 = None;
-        let mut last_stage3 = None;
-
-        let mut iterations = 0;
-        let mut explored_lambdas: std::collections::HashSet<Vec<u64>> =
-            std::collections::HashSet::new();
-        for iteration in 0..self.config.max_outer_iterations {
-            iterations = iteration + 1;
-            let objective_before = best_objective;
-            let after_stage1 = problem.objective_with_max_delay(&vars)?;
-
-            // Stage 2: polynomial degrees.
-            let stage2 = stage2_solver.solve(problem, &vars)?;
-            stage_calls[1] += 1;
-            vars.lambda = stage2.lambda.clone();
-            vars.delay_bound = stage2.delay_bound;
-            let after_stage2 = problem.objective_with_max_delay(&vars)?;
-            last_stage2 = Some(stage2);
-
-            // Stage 3: communication and computation resources. The
-            // multi-start basin exploration pays off only when the Stage-3
-            // cost surface is new — i.e. the first time each `lambda` is
-            // seen, since the surface depends on the variables only through
-            // `lambda`. While `lambda` is unchanged the warm start already
-            // sits in the best basin found and re-solving the fixed starts
-            // would only cost time. Single-start mode skips the exploration
-            // entirely and rides the carried start's basin.
-            let surface_is_new = explored_lambdas.insert(vars.lambda.clone());
-            let multi_start = options.stage3_multi_start && surface_is_new;
-            let stage3 = stage3_solver.run(problem, &vars, options.with_gap_trace, multi_start)?;
-            stage_calls[2] += 1;
-            vars.power = stage3.power.clone();
-            vars.bandwidth = stage3.bandwidth.clone();
-            vars.client_frequency = stage3.client_frequency.clone();
-            vars.server_frequency = stage3.server_frequency.clone();
-            vars.delay_bound = stage3.delay_bound;
-            let after_stage3 = problem.objective_with_max_delay(&vars)?;
-            last_stage3 = Some(stage3);
-
-            outer_trace.push(OuterIterationRecord {
-                iteration,
-                after_stage1,
-                after_stage2,
-                after_stage3,
-            });
-            best_objective = after_stage3;
-            if (best_objective - objective_before).abs() < self.config.tolerance {
-                converged = true;
-                break;
-            }
+    let mut vars = match spec.start() {
+        StartMode::Cold | StartMode::SingleStart => problem.initial_point()?,
+        StartMode::WarmFrom(start) => {
+            // A start is untrusted input on the serve path: the cost
+            // evaluators index it per client and per link.
+            start.check_dimensions(problem.num_clients(), problem.scenario().num_links())?;
+            start.clone()
         }
+    };
+    let mut best_objective = problem.objective_with_max_delay(&vars)?;
+    let mut outer_trace = Vec::new();
+    let mut stage_calls = [0usize; 3];
+    let mut converged = false;
 
-        // `validate()` rejects a zero iteration budget, so the loop above ran
-        // at least once; a structured error beats asserting that here.
-        let (Some(stage2), Some(stage3)) = (last_stage2, last_stage3) else {
-            return Err(QuheError::InvalidConfig {
-                reason: "max_outer_iterations must be at least 1".to_string(),
-            });
-        };
-        let metrics = MethodMetrics::evaluate(problem, &vars)?;
-        Ok(QuheOutcome {
-            objective: metrics.objective,
-            metrics,
-            variables: vars,
-            outer_iterations: iterations,
-            converged,
-            outer_trace,
-            stage1,
-            stage2,
-            stage3,
-            stage_calls,
-            runtime_s: wall_clock.elapsed().as_secs_f64(),
-        })
+    // Stage 1 does not depend on the other blocks (the paper drops the
+    // constant terms), so its result is computed once and reused; the
+    // loop below still re-records it per iteration for the trace.
+    let stage1 = stage1_solver.solve(problem)?;
+    stage_calls[0] += 1;
+    vars.phi = stage1.phi.clone();
+    vars.w = stage1.w.clone();
+    let mut last_stage2 = None;
+    let mut last_stage3 = None;
+
+    let mut iterations = 0;
+    let mut explored_lambdas: std::collections::HashSet<Vec<u64>> =
+        std::collections::HashSet::new();
+    for iteration in 0..config.max_outer_iterations {
+        iterations = iteration + 1;
+        let objective_before = best_objective;
+        let after_stage1 = problem.objective_with_max_delay(&vars)?;
+
+        // Stage 2: polynomial degrees.
+        let stage2 = stage2_solver.solve(problem, &vars)?;
+        stage_calls[1] += 1;
+        vars.lambda = stage2.lambda.clone();
+        vars.delay_bound = stage2.delay_bound;
+        let after_stage2 = problem.objective_with_max_delay(&vars)?;
+        last_stage2 = Some(stage2);
+
+        // Stage 3: communication and computation resources. The
+        // multi-start basin exploration pays off only when the Stage-3
+        // cost surface is new — i.e. the first time each `lambda` is
+        // seen, since the surface depends on the variables only through
+        // `lambda`. While `lambda` is unchanged the warm start already
+        // sits in the best basin found and re-solving the fixed starts
+        // would only cost time. Single-start mode skips the exploration
+        // entirely and rides the carried start's basin.
+        let surface_is_new = explored_lambdas.insert(vars.lambda.clone());
+        let multi_start = spec.multi_start() && surface_is_new;
+        let stage3 = stage3_solver.run(problem, &vars, with_gap_trace, multi_start)?;
+        stage_calls[2] += 1;
+        vars.power = stage3.power.clone();
+        vars.bandwidth = stage3.bandwidth.clone();
+        vars.client_frequency = stage3.client_frequency.clone();
+        vars.server_frequency = stage3.server_frequency.clone();
+        vars.delay_bound = stage3.delay_bound;
+        let after_stage3 = problem.objective_with_max_delay(&vars)?;
+        last_stage3 = Some(stage3);
+
+        outer_trace.push(OuterIterationRecord {
+            iteration,
+            after_stage1,
+            after_stage2,
+            after_stage3,
+        });
+        best_objective = after_stage3;
+        if (best_objective - objective_before).abs() < config.tolerance {
+            converged = true;
+            break;
+        }
     }
+
+    // `validate()` rejects a zero iteration budget, so the loop above ran
+    // at least once; a structured error beats asserting that here.
+    let (Some(stage2), Some(stage3)) = (last_stage2, last_stage3) else {
+        return Err(QuheError::InvalidConfig {
+            reason: "max_outer_iterations must be at least 1".to_string(),
+        });
+    };
+    let metrics = MethodMetrics::evaluate(problem, &vars)?;
+    Ok(SolveReport {
+        solver: "quhe".to_string(),
+        spec: spec.clone(),
+        objective: metrics.objective,
+        metrics,
+        variables: vars,
+        outer_iterations: iterations,
+        converged,
+        outer_trace,
+        stage_calls,
+        stage1: Some(stage1),
+        stage2: Some(stage2),
+        stage3: Some(stage3),
+        runtime_s: wall_clock.elapsed().as_secs_f64(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::AaSolver;
+    use crate::scenario::SystemScenario;
+    use crate::solver::{AaSolver, QuheSolver, Solver};
+    use crate::variables::DecisionVariables;
 
     fn scenario() -> SystemScenario {
         SystemScenario::paper_default(1)
@@ -361,8 +219,6 @@ mod tests {
     fn a_solve_is_send_sync_with_no_shared_mutable_state() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Problem>();
-        assert_send_sync::<QuheAlgorithm>();
-        assert_send_sync::<QuheOutcome>();
         assert_send_sync::<QuheSolver>();
         assert_send_sync::<SolveReport>();
         assert_send_sync::<SystemScenario>();
@@ -435,6 +291,31 @@ mod tests {
             result.converged,
             "did not converge in {} iterations",
             result.outer_iterations
+        );
+    }
+
+    #[test]
+    fn a_warm_start_of_the_wrong_length_is_a_dimension_mismatch() {
+        let one = vec![1.0];
+        let start = DecisionVariables {
+            phi: one.clone(),
+            w: one.clone(),
+            lambda: vec![1 << 15],
+            power: one.clone(),
+            bandwidth: one.clone(),
+            client_frequency: one.clone(),
+            server_frequency: one,
+            delay_bound: 1.0,
+        };
+        let err = quhe(QuheConfig::default())
+            .solve(&scenario(), &SolveSpec::warm_from(start))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            QuheError::DimensionMismatch {
+                expected: 6,
+                actual: 1
+            }
         );
     }
 }

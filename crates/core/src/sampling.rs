@@ -60,8 +60,7 @@ impl OptimalityStudy {
         let mut objectives = Vec::with_capacity(samples);
         for start in starts {
             // Each sampled configuration is explored with the full
-            // multi-start solve on the shared problem instance, exactly as
-            // the legacy `solve_from` did.
+            // multi-start solve on the shared problem instance.
             let report = solver.solve_prepared(
                 &problem,
                 &SolveSpec::warm_from(start).with_multi_start(true),

@@ -1,16 +1,11 @@
-//! The unified solver surface: one trait, one request type, one result type.
-//!
-//! Three PRs of organic growth left the solve surface fragmented — the QuHE
-//! driver exposed five ad-hoc entry points, the baselines were free functions
-//! with their own result struct, and every experiment harness hand-rolled its
-//! invocation. This module is the single front door:
+//! The solver surface: one trait, one request type, one result type.
 //!
 //! * [`Solver`] — anything that maps a [`SystemScenario`] plus a
 //!   [`SolveSpec`] to a [`SolveReport`]. Implementations are registered by
 //!   name in a [`SolverRegistry`], mirroring the
 //!   [`quhe_mec::generator::ScenarioRegistry`] pattern on the scenario side.
-//! * [`SolveSpec`] — what used to be smeared across method names: the start
-//!   mode ([`StartMode::Cold`], [`StartMode::SingleStart`],
+//! * [`SolveSpec`] — how a solve runs: the start mode
+//!   ([`StartMode::Cold`], [`StartMode::SingleStart`],
 //!   [`StartMode::WarmFrom`]), the Stage-3 multi-start switch and budget,
 //!   thread count, tolerance override and [`InstrumentationLevel`].
 //! * [`SolveReport`] — one result type for every solver: objective, final
@@ -22,9 +17,7 @@
 //!
 //! The registry ships four built-ins — `quhe`, `aa`, `olaa`, `occr` — and
 //! custom solvers plug in through [`SolverRegistry::register`] (see
-//! `examples/custom_solver.rs`). The legacy entry points on
-//! [`QuheAlgorithm`] and in [`crate::baselines`] survive as thin deprecated
-//! shims over this API, pinned bit-identical by `tests/solver_parity.rs`.
+//! `examples/custom_solver.rs`).
 
 use std::time::Instant;
 
@@ -34,7 +27,7 @@ use crate::json::JsonValue;
 use crate::metrics::MethodMetrics;
 use crate::params::QuheConfig;
 use crate::problem::Problem;
-use crate::quhe::{OuterIterationRecord, QuheAlgorithm, QuheOutcome, RunOptions};
+use crate::quhe::{self, OuterIterationRecord};
 use crate::scenario::SystemScenario;
 use crate::stage1::Stage1Result;
 use crate::stage2::{Stage2Result, Stage2Solver};
@@ -82,9 +75,7 @@ pub enum InstrumentationLevel {
     /// batch grids.
     Minimal,
     /// Everything [`Minimal`](InstrumentationLevel::Minimal) keeps plus the
-    /// outer-iteration trace and the final per-stage results (the default,
-    /// and what the legacy entry points need to reconstruct their outcome
-    /// types).
+    /// outer-iteration trace and the final per-stage results (the default).
     Standard,
     /// Everything, plus the Stage-3 interior-point duality-gap trace of the
     /// paper's Fig. 4(d) (extra polish work per Stage-3 call).
@@ -163,8 +154,8 @@ impl SolveSpec {
     }
 
     /// Forces Stage-3 multi-start on or off, overriding the start mode's
-    /// default (`warm_from(..).with_multi_start(true)` reproduces the legacy
-    /// `solve_from` exploration-from-a-sample mode).
+    /// default (`warm_from(..).with_multi_start(true)` is the Fig. 3
+    /// study's exploration from a sampled start).
     #[must_use]
     pub fn with_multi_start(mut self, multi_start: bool) -> Self {
         self.multi_start = Some(multi_start);
@@ -228,6 +219,12 @@ impl SolveSpec {
     /// The Stage-3 multi-start budget in effect.
     pub fn multi_start_budget(&self) -> usize {
         self.multi_start_budget.unwrap_or(DEFAULT_START_BUDGET)
+    }
+
+    /// The worker-thread override, if any (`None` keeps the solver's
+    /// configured count).
+    pub fn threads(&self) -> Option<usize> {
+        self.threads
     }
 
     /// Whether Stage-3 dominated-start pruning is active (default: `true`).
@@ -421,52 +418,6 @@ impl SolveReport {
             self.stage3 = None;
         }
         self
-    }
-
-    pub(crate) fn from_outcome(solver: &str, spec: &SolveSpec, outcome: QuheOutcome) -> Self {
-        Self {
-            solver: solver.to_string(),
-            spec: spec.clone(),
-            objective: outcome.objective,
-            variables: outcome.variables,
-            metrics: outcome.metrics,
-            outer_iterations: outcome.outer_iterations,
-            converged: outcome.converged,
-            outer_trace: outcome.outer_trace,
-            stage_calls: outcome.stage_calls,
-            stage1: Some(outcome.stage1),
-            stage2: Some(outcome.stage2),
-            stage3: Some(outcome.stage3),
-            runtime_s: outcome.runtime_s,
-        }
-    }
-
-    /// Reconstructs the legacy [`QuheOutcome`] shape. Requires the per-stage
-    /// telemetry that [`InstrumentationLevel::Standard`] (and up) records.
-    ///
-    /// # Errors
-    /// [`QuheError::InvalidConfig`] if the report was produced under minimal
-    /// instrumentation.
-    pub fn into_quhe_outcome(self) -> QuheResult<QuheOutcome> {
-        let (Some(stage1), Some(stage2), Some(stage3)) = (self.stage1, self.stage2, self.stage3)
-        else {
-            return Err(QuheError::InvalidConfig {
-                reason: "reconstructing a QuheOutcome needs standard instrumentation".to_string(),
-            });
-        };
-        Ok(QuheOutcome {
-            objective: self.objective,
-            variables: self.variables,
-            metrics: self.metrics,
-            outer_iterations: self.outer_iterations,
-            converged: self.converged,
-            outer_trace: self.outer_trace,
-            stage1,
-            stage2,
-            stage3,
-            stage_calls: self.stage_calls,
-            runtime_s: self.runtime_s,
-        })
     }
 
     /// Serializes to a [`JsonValue`] tree (the shared `quhe-bench` report
@@ -665,19 +616,7 @@ impl Solver for QuheSolver {
 
     fn solve_prepared(&self, problem: &Problem, spec: &SolveSpec) -> QuheResult<SolveReport> {
         let config = spec.effective_config(&self.config);
-        let start = match spec.start() {
-            StartMode::Cold | StartMode::SingleStart => problem.initial_point()?,
-            StartMode::WarmFrom(vars) => vars.clone(),
-        };
-        let options = RunOptions {
-            stage3_multi_start: spec.multi_start(),
-            stage3_start_budget: spec.multi_start_budget(),
-            stage3_prune_starts: spec.start_pruning(),
-            with_gap_trace: spec.instrumentation() == InstrumentationLevel::Full,
-        };
-        let outcome = QuheAlgorithm::new(config).run_from(problem, start, options)?;
-        Ok(SolveReport::from_outcome(self.name(), spec, outcome)
-            .instrumented(spec.instrumentation()))
+        Ok(quhe::alternate(&config, problem, spec)?.instrumented(spec.instrumentation()))
     }
 }
 

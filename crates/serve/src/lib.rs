@@ -39,8 +39,8 @@
 //! `quhe-serve/v2` envelope with stable error kinds) feeding a bounded
 //! admission queue drained by a worker pool, with shed-load `overloaded`
 //! envelopes when the queue is full and graceful shutdown. Sizing — cache
-//! capacity, worker threads, queue bound, coalescing — lives in one
-//! [`ServiceConfig`] builder.
+//! capacity, worker threads, queue bound — lives in one [`ServiceConfig`]
+//! builder.
 //!
 //! [`SolveService::handle_batch`] shards request streams across the scoped
 //! worker pool with all workers sharing one cache. The repository

@@ -207,8 +207,8 @@ impl Shared {
 
 /// A running framed-TCP front end over a shared [`SolveService`].
 ///
-/// Sizing (worker threads, admission-queue bound, coalescing) comes from
-/// the service's [`ServiceConfig`](crate::ServiceConfig). Dropping the
+/// Sizing (worker threads, admission-queue bound) comes from the service's
+/// [`ServiceConfig`](crate::ServiceConfig). Dropping the
 /// server without calling [`TcpServer::shutdown`] also shuts down, so a
 /// panicking test does not leak threads.
 pub struct TcpServer {

@@ -38,6 +38,16 @@ pub const MAX_INLINE_CLIENTS: usize = 4096;
 /// denial-of-service knob on an untrusted field.
 pub const MAX_DRIFT_STEP: usize = 512;
 
+/// Upper bound on `spec.threads`. A solve's Stage-3 multi-start runs on a
+/// scoped pool of that many OS threads, so an unbounded value would let one
+/// request spawn arbitrarily many threads.
+pub const MAX_SPEC_THREADS: usize = 64;
+
+/// Upper bound on `spec.multi_start_budget`: every unit is one more Stage-3
+/// descent per new `lambda` surface, and the budget sizes an allocation, so
+/// an unbounded value would be a CPU and memory knob on an untrusted field.
+pub const MAX_MULTI_START_BUDGET: usize = 64;
+
 /// How a request names the scenario to solve.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioSpec {
@@ -363,6 +373,18 @@ impl SolveRequest {
             None | Some(JsonValue::Null) => SolveSpec::cold(),
             Some(other) => SolveSpec::from_json_value(other)?,
         };
+        if let Some(threads) = spec.threads().filter(|&t| t > MAX_SPEC_THREADS) {
+            return Err(malformed(&format!(
+                "spec.threads {threads} exceeds the service limit of {MAX_SPEC_THREADS}"
+            )));
+        }
+        if spec.multi_start_budget() > MAX_MULTI_START_BUDGET {
+            return Err(malformed(&format!(
+                "spec.multi_start_budget {} exceeds the service limit of \
+                 {MAX_MULTI_START_BUDGET}",
+                spec.multi_start_budget()
+            )));
+        }
         Ok(Self {
             id,
             scenario,
@@ -456,6 +478,20 @@ mod tests {
             (
                 "{\"scenario\": {\"catalog\": \"x\", \"seed\": 1, \"drift_step\": 100000}}",
                 "exceeds the service limit of 512",
+            ),
+            (
+                "{\"scenario\": {\"catalog\": \"x\", \"seed\": 1}, \"spec\": \
+                 {\"start\": {\"mode\": \"cold\"}, \"multi_start\": null, \
+                 \"multi_start_budget\": null, \"threads\": 100000, \"tolerance\": null, \
+                 \"instrumentation\": \"standard\"}}",
+                "spec.threads 100000 exceeds the service limit of 64",
+            ),
+            (
+                "{\"scenario\": {\"catalog\": \"x\", \"seed\": 1}, \"spec\": \
+                 {\"start\": {\"mode\": \"cold\"}, \"multi_start\": null, \
+                 \"multi_start_budget\": 18446744073709551615, \"threads\": null, \
+                 \"tolerance\": null, \"instrumentation\": \"standard\"}}",
+                "spec.multi_start_budget 18446744073709551615 exceeds the service limit of 64",
             ),
             (
                 "{\"scenario\": {\"catalog\": \"x\", \"inline\": {\"num_clients\": 6, \

@@ -323,7 +323,6 @@ pub struct ServiceConfig {
     cache_capacity: usize,
     worker_threads: usize,
     queue_bound: usize,
-    coalescing: bool,
     cache_snapshot: Option<JsonValue>,
 }
 
@@ -336,14 +335,13 @@ impl Default for ServiceConfig {
 impl ServiceConfig {
     /// A configuration with the given solver configuration and the service
     /// defaults: [`DEFAULT_CACHE_CAPACITY`], machine-sized workers,
-    /// [`DEFAULT_QUEUE_BOUND`], coalescing on.
+    /// [`DEFAULT_QUEUE_BOUND`].
     pub fn new(solver: QuheConfig) -> Self {
         Self {
             solver,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             worker_threads: 0,
             queue_bound: DEFAULT_QUEUE_BOUND,
-            coalescing: true,
             cache_snapshot: None,
         }
     }
@@ -368,13 +366,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_queue_bound(mut self, bound: usize) -> Self {
         self.queue_bound = bound.max(1);
-        self
-    }
-
-    /// Enables or disables in-flight request coalescing (default on).
-    #[must_use]
-    pub fn with_coalescing(mut self, coalescing: bool) -> Self {
-        self.coalescing = coalescing;
         self
     }
 
@@ -410,11 +401,6 @@ impl ServiceConfig {
     /// The admission-queue bound.
     pub fn queue_bound(&self) -> usize {
         self.queue_bound
-    }
-
-    /// Whether in-flight request coalescing is enabled.
-    pub fn coalescing(&self) -> bool {
-        self.coalescing
     }
 
     /// The startup cache snapshot, if one is pending
@@ -498,28 +484,6 @@ impl SolveService {
     /// [`ServiceConfig`] sizing.
     pub fn new(registry: SolverRegistry, catalog: ScenarioCatalog) -> Self {
         ServiceConfig::default().build_with(registry, catalog)
-    }
-
-    /// The built-in solvers and catalogue under a shared configuration.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ServiceConfig::new(config).build()` — the builder also \
-                sizes the cache, workers, queue bound and coalescing"
-    )]
-    pub fn builtin(config: QuheConfig) -> Self {
-        ServiceConfig::new(config).build()
-    }
-
-    /// Replaces the cache with one holding at most `capacity` reports.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ServiceConfig::with_cache_capacity` before building"
-    )]
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = ScenarioCache::new(capacity);
-        self.config = self.config.with_cache_capacity(capacity);
-        self
     }
 
     /// The solver registry.
@@ -660,10 +624,6 @@ impl SolveService {
             });
         }
 
-        if !self.config.coalescing() {
-            return self.serve_slow(id, scenario, solver_name, spec, spec_key, wall);
-        }
-
         // Singleflight: identical concurrent requests elect one leader; the
         // rest block on its flight and receive the report bit-identically.
         match self.flights.join(FlightKey {
@@ -707,10 +667,10 @@ impl SolveService {
     }
 
     /// The cache-miss path: warm near miss or cold solve. Runs at most once
-    /// per in-flight key when coalescing is on (this is what the leader
-    /// executes); re-checks the exact index first because a previous leader
-    /// for the same key may have completed between this request's fast-path
-    /// lookup and its flight-table join.
+    /// per in-flight key (this is what the flight leader executes); re-checks
+    /// the exact index first because a previous leader for the same key may
+    /// have completed between this request's fast-path lookup and its
+    /// flight-table join.
     fn serve_slow(
         &self,
         id: Option<String>,
@@ -1146,31 +1106,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_constructors_match_the_config_builder() {
-        // The shims must stay behaviour-identical to the builder they
-        // forward to: same cache capacity, same serving decisions.
-        #[allow(deprecated)]
-        let legacy = SolveService::builtin(quick_config()).with_cache_capacity(7);
-        let modern = ServiceConfig::new(quick_config())
-            .with_cache_capacity(7)
-            .build();
-        assert_eq!(legacy.cache().capacity(), 7);
-        assert_eq!(legacy.config().cache_capacity(), 7);
-        assert_eq!(legacy.config(), modern.config());
-
-        let request = SolveRequest::catalog("paper_default", 11);
-        let from_legacy = legacy.handle(&request).unwrap();
-        let from_modern = modern.handle(&request).unwrap();
-        assert_eq!(from_legacy.cache, CacheOutcome::Cold);
-        assert_eq!(from_modern.cache, CacheOutcome::Cold);
-        assert_eq!(
-            from_legacy.report.objective.to_bits(),
-            from_modern.report.objective.to_bits()
-        );
-        assert_eq!(from_legacy.report.variables, from_modern.report.variables);
-    }
-
-    #[test]
     fn concurrent_identical_cold_requests_coalesce_to_one_solve() {
         let service = std::sync::Arc::new(quick_service());
         let clients = 4;
@@ -1340,19 +1275,6 @@ mod tests {
         let final_stats = service.stats();
         assert_eq!(final_stats.cached_reports, final_stats.cache.entries);
         assert!(final_stats.cache.entries <= 4);
-    }
-
-    #[test]
-    fn coalescing_can_be_disabled() {
-        let service = ServiceConfig::new(quick_config())
-            .with_coalescing(false)
-            .build();
-        assert!(!service.config().coalescing());
-        let response = service
-            .handle(&SolveRequest::catalog("paper_default", 3))
-            .unwrap();
-        assert_eq!(response.cache, CacheOutcome::Cold);
-        assert_eq!(service.stats().coalesced, 0);
     }
 
     #[test]

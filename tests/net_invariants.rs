@@ -110,7 +110,13 @@ fn concurrent_identical_requests_over_tcp_coalesce_to_one_solve() {
 
 #[test]
 fn malformed_frames_get_error_envelopes_and_the_connection_survives() {
-    let service = Arc::new(ServiceConfig::new(quick_config()).build());
+    // One worker: the request served last proves the pool survived the
+    // solve-time rejection of frame 4.
+    let service = Arc::new(
+        ServiceConfig::new(quick_config())
+            .with_worker_threads(1)
+            .build(),
+    );
     let server = TcpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut stream = connect(&server);
 
@@ -147,13 +153,38 @@ fn malformed_frames_get_error_envelopes_and_the_connection_survives() {
     assert_eq!(kind, "invalid_request");
     assert!(message.contains("exceeds the limit"), "{message}");
 
-    // 4. The same connection still serves a real request after all three.
+    // 4. A well-formed request whose warm start has the wrong length for
+    //    the 6-client world: the solver rejects it with a structured error
+    //    instead of indexing past the start's vectors.
+    let one = vec![1.0];
+    let short_start = DecisionVariables {
+        phi: one.clone(),
+        w: one.clone(),
+        lambda: vec![1 << 15],
+        power: one.clone(),
+        bandwidth: one.clone(),
+        client_frequency: one.clone(),
+        server_frequency: one,
+        delay_bound: 1.0,
+    };
+    let request = SolveRequest::catalog("paper_default", 11)
+        .with_id("short-start")
+        .with_spec(SolveSpec::warm_from(short_start));
+    let WireReply::Err { id, kind, message } = roundtrip(&mut stream, &request.to_json()) else {
+        panic!("a wrong-length warm start must be rejected");
+    };
+    assert_eq!(id.as_deref(), Some("short-start"));
+    assert_eq!(kind, "dimension_mismatch", "{message}");
+
+    // 5. The same connection, and the same worker, still serve a real
+    //    request after all four.
     let request = SolveRequest::catalog("paper_default", 11).with_id("ok-after");
     let WireReply::Ok(response) = roundtrip(&mut stream, &request.to_json()) else {
         panic!("the connection must survive malformed frames");
     };
     assert_eq!(response.id.as_deref(), Some("ok-after"));
 
+    // Frame 4 parsed fine; only the solver refused it.
     let stats = server.stats();
     assert_eq!(stats.rejected_frames, 3, "stats: {stats:?}");
     assert_eq!(stats.connections, 1);

@@ -1,12 +1,13 @@
 //! Differential tests of the online dynamic-world engine.
 //!
-//! * On a trace with zero events, `solve_online` is bit-identical to solving
-//!   the (unchanged) world repeatedly.
+//! * On a trace with zero events, `solve_online_with` on the QuHE solver is
+//!   bit-identical to solving the (unchanged) world repeatedly.
 //! * With events, every warm-started step's objective is at least the cold
 //!   single-start solve of the same world — the fallback guarantee.
 //! * The whole run is seed-deterministic: replaying a trace reproduces the
 //!   exact same records and solutions.
 
+use quhe::core::online::{anchor_config, step_config};
 use quhe::prelude::*;
 
 /// Iteration budgets sized for the debug-build test suite; the invariants
@@ -26,13 +27,12 @@ fn zero_event_trace_is_bit_identical_to_repeated_solve() {
     let catalog = ScenarioCatalog::builtin();
     let trace = SystemTrace::generate(&catalog, "paper_default", 42, &OnlineTraceConfig::frozen(4))
         .unwrap();
-    let algorithm = QuheAlgorithm::new(test_config());
-    let online = algorithm.solve_online(&trace).unwrap();
+    let online = solve_online_with(&QuheSolver::new(test_config()), &trace).unwrap();
     assert_eq!(online.outcomes.len(), 5);
     for (outcome, step) in online.outcomes.iter().zip(trace.steps()) {
         // Cold solves inside the engine run at the anchor tolerance, so the
         // repeated-solve baseline uses the same documented configuration.
-        let repeated = QuheSolver::new(algorithm.anchor_config(step))
+        let repeated = QuheSolver::new(anchor_config(&test_config(), step))
             .solve(&step.scenario, &SolveSpec::cold())
             .unwrap();
         assert_eq!(outcome.variables, repeated.variables);
@@ -47,7 +47,7 @@ fn zero_event_trace_is_bit_identical_to_repeated_solve() {
 #[test]
 fn warm_steps_never_fall_below_the_cold_single_start_solve() {
     let catalog = ScenarioCatalog::builtin();
-    let algorithm = QuheAlgorithm::new(test_config());
+    let solver = QuheSolver::new(test_config());
     let traces = [
         SystemTrace::generate(
             &catalog,
@@ -69,14 +69,14 @@ fn warm_steps_never_fall_below_the_cold_single_start_solve() {
         .unwrap(),
     ];
     for trace in &traces {
-        let online = algorithm.solve_online(trace).unwrap();
+        let online = solve_online_with(&solver, trace).unwrap();
         let mut warm_steps = 0;
         for (record, step) in online.records.iter().zip(trace.steps()) {
             if !matches!(record.kind, SolveKind::Warm | SolveKind::WarmFallback) {
                 continue;
             }
             warm_steps += 1;
-            let cold = QuheSolver::new(algorithm.step_config(step))
+            let cold = QuheSolver::new(step_config(&test_config(), step))
                 .solve(&step.scenario, &SolveSpec::single_start())
                 .unwrap();
             assert!(
@@ -106,9 +106,9 @@ fn online_runs_are_seed_deterministic_end_to_end() {
     let trace_b = SystemTrace::generate(&catalog, "paper_default", 19, &config).unwrap();
     assert_eq!(trace_a, trace_b, "trace generation must be deterministic");
 
-    let algorithm = QuheAlgorithm::new(test_config());
-    let run_a = algorithm.solve_online(&trace_a).unwrap();
-    let run_b = algorithm.solve_online(&trace_b).unwrap();
+    let solver = QuheSolver::new(test_config());
+    let run_a = solve_online_with(&solver, &trace_a).unwrap();
+    let run_b = solve_online_with(&solver, &trace_b).unwrap();
     for (a, b) in run_a.records.iter().zip(&run_b.records) {
         assert_eq!(a.kind, b.kind);
         assert_eq!(a.objective.to_bits(), b.objective.to_bits());
@@ -136,10 +136,10 @@ fn per_step_solutions_respect_their_own_worlds_constraints() {
         },
     )
     .unwrap();
-    let algorithm = QuheAlgorithm::new(test_config());
-    let online = algorithm.solve_online(&trace).unwrap();
+    let online = solve_online_with(&QuheSolver::new(test_config()), &trace).unwrap();
     for (outcome, step) in online.outcomes.iter().zip(trace.steps()) {
-        let problem = Problem::new(step.scenario.clone(), algorithm.step_config(step)).unwrap();
+        let problem =
+            Problem::new(step.scenario.clone(), step_config(&test_config(), step)).unwrap();
         problem.check_feasible(&outcome.variables).unwrap();
         assert!(outcome.objective.is_finite());
     }

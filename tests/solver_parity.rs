@@ -1,16 +1,20 @@
-//! API-parity pins: every legacy entry point is a thin deprecated shim over
-//! the unified `Solver`/`SolveSpec` surface, and this file pins the two
-//! surfaces **bit-identical** across the builtin scenario catalogue × 2
-//! seeds. If the shims or the new code path ever drift apart — different
-//! start construction, different config plumbing, a lossy outcome
-//! conversion — these tests fail on the exact world and seed.
-#![allow(deprecated)]
+//! Parity pins of the solve surface, across the builtin scenario catalogue ×
+//! 2 seeds:
+//!
+//! * `Solver::solve_prepared` on a `Problem` built under the spec-effective
+//!   configuration is **bit-identical** to `Solver::solve` on the scenario,
+//!   for every start mode. The Fig. 3 optimality study, the online engine
+//!   and the service's warm path all solve prepared problems, so a drift
+//!   between the two entry points would silently change their results.
+//! * `Solver::solve_batch` on a worker pool returns exactly the serial
+//!   solves, in input order.
 
 use quhe::prelude::*;
+use rand::SeedableRng;
 
 /// Budgets sized to the world so the debug-build suite stays fast (the
 /// catalogue is crossed several times here); parity is budget-independent
-/// because both surfaces run under the same budget.
+/// because both entry points run under the same budget.
 fn config_for(scenario: &SystemScenario) -> QuheConfig {
     let big = scenario.num_clients() > 16;
     QuheConfig {
@@ -24,157 +28,102 @@ fn config_for(scenario: &SystemScenario) -> QuheConfig {
 const SEEDS: [u64; 2] = [42, 43];
 
 /// Everything except the wall clock must match bit-for-bit.
-fn assert_outcome_matches_report(legacy: &QuheOutcome, report: &SolveReport, ctx: &str) {
-    assert_eq!(legacy.variables, report.variables, "{ctx}: variables");
+fn assert_reports_match(a: &SolveReport, b: &SolveReport, ctx: &str) {
     assert_eq!(
-        legacy.objective.to_bits(),
-        report.objective.to_bits(),
+        a.objective.to_bits(),
+        b.objective.to_bits(),
         "{ctx}: objective"
     );
-    assert_eq!(legacy.metrics, report.metrics, "{ctx}: metrics");
+    assert_eq!(a.variables, b.variables, "{ctx}: variables");
+    assert_eq!(a.metrics, b.metrics, "{ctx}: metrics");
     assert_eq!(
-        legacy.outer_iterations, report.outer_iterations,
+        a.outer_iterations, b.outer_iterations,
         "{ctx}: outer iterations"
     );
-    assert_eq!(legacy.converged, report.converged, "{ctx}: converged");
-    assert_eq!(legacy.outer_trace, report.outer_trace, "{ctx}: outer trace");
-    assert_eq!(legacy.stage_calls, report.stage_calls, "{ctx}: stage calls");
-    let stage2 = report.stage2.as_ref().expect("standard instrumentation");
-    assert_eq!(legacy.stage2.lambda, stage2.lambda, "{ctx}: stage-2 lambda");
-    let stage3 = report.stage3.as_ref().expect("standard instrumentation");
-    assert_eq!(legacy.stage3.power, stage3.power, "{ctx}: stage-3 power");
+    assert_eq!(a.converged, b.converged, "{ctx}: converged");
+    assert_eq!(a.outer_trace, b.outer_trace, "{ctx}: outer trace");
+    assert_eq!(a.stage_calls, b.stage_calls, "{ctx}: stage calls");
+    assert_eq!(a.spec, b.spec, "{ctx}: spec echo");
 }
 
-fn assert_baseline_matches_report(legacy: &BaselineResult, report: &SolveReport, ctx: &str) {
-    assert_eq!(legacy.variables, report.variables, "{ctx}: variables");
-    assert_eq!(legacy.metrics, report.metrics, "{ctx}: metrics");
+/// Solves `spec` through both entry points and asserts bit-identical reports.
+fn assert_prepared_matches_direct(
+    solver: &QuheSolver,
+    scenario: &SystemScenario,
+    spec: &SolveSpec,
+    ctx: &str,
+) {
+    let problem = Problem::new(scenario.clone(), spec.effective_config(solver.config())).unwrap();
+    let prepared = solver.solve_prepared(&problem, spec).unwrap();
+    let direct = solver.solve(scenario, spec).unwrap();
+    assert_reports_match(&prepared, &direct, ctx);
 }
 
 #[test]
-fn legacy_quhe_entry_points_match_their_spec_equivalents_across_the_catalogue() {
+fn solve_prepared_matches_solve_across_the_catalogue() {
     let catalog = ScenarioCatalog::builtin();
     for name in catalog.names() {
         for seed in SEEDS {
             let scenario = catalog.generate(name, seed).unwrap();
-            let config = config_for(&scenario);
-            let registry = SolverRegistry::builtin_with(config);
-            let algorithm = QuheAlgorithm::new(config);
-
-            // `solve` ≡ `SolveSpec::cold()`.
-            let legacy = algorithm.solve(&scenario).unwrap();
-            let report = registry
-                .solve("quhe", &scenario, &SolveSpec::cold())
-                .unwrap();
-            assert_outcome_matches_report(&legacy, &report, &format!("{name}/{seed} cold"));
-
-            // `solve_single_start` ≡ `SolveSpec::single_start()`.
-            let legacy_single = algorithm.solve_single_start(&scenario).unwrap();
-            let report_single = registry
-                .solve("quhe", &scenario, &SolveSpec::single_start())
-                .unwrap();
-            assert_outcome_matches_report(
-                &legacy_single,
-                &report_single,
-                &format!("{name}/{seed} single-start"),
-            );
-
-            // `solve_from_warm` ≡ `SolveSpec::warm_from(start)`, warm-started
-            // from the cold optimum of the same world.
-            let problem = Problem::new(scenario.clone(), config).unwrap();
-            let legacy_warm = algorithm
-                .solve_from_warm(&problem, legacy.variables.clone())
-                .unwrap();
-            let report_warm = registry
-                .solve(
-                    "quhe",
-                    &scenario,
-                    &SolveSpec::warm_from(legacy.variables.clone()),
-                )
-                .unwrap();
-            assert_outcome_matches_report(
-                &legacy_warm,
-                &report_warm,
-                &format!("{name}/{seed} warm"),
-            );
+            let solver = QuheSolver::new(config_for(&scenario));
+            let cold = solver.solve(&scenario, &SolveSpec::cold()).unwrap();
+            // Cold and single-start from the deterministic initial point, and
+            // a warm track from the cold optimum.
+            let specs = [
+                ("cold", SolveSpec::cold()),
+                ("single-start", SolveSpec::single_start()),
+                ("warm", SolveSpec::warm_from(cold.variables.clone())),
+            ];
+            for (label, spec) in specs {
+                let ctx = format!("{name}/{seed} {label}");
+                assert_prepared_matches_direct(&solver, &scenario, &spec, &ctx);
+            }
         }
     }
 }
 
+/// The Fig. 3 optimality study's solve: a warm start from a random sample
+/// that still explores the multi-start levels.
 #[test]
-fn legacy_baselines_match_their_registry_solvers_across_the_catalogue() {
+fn exploring_warm_solve_prepared_matches_solve_across_the_catalogue() {
     let catalog = ScenarioCatalog::builtin();
-    for name in catalog.names() {
-        for seed in SEEDS {
-            let scenario = catalog.generate(name, seed).unwrap();
-            let config = config_for(&scenario);
-            let registry = SolverRegistry::builtin_with(config);
-
-            let aa = average_allocation(&scenario, &config).unwrap();
-            assert_eq!(aa.name, "AA");
-            let aa_report = registry.solve("aa", &scenario, &SolveSpec::cold()).unwrap();
-            assert_baseline_matches_report(&aa, &aa_report, &format!("{name}/{seed} aa"));
-
-            let olaa_legacy = olaa(&scenario, &config).unwrap();
-            assert_eq!(olaa_legacy.name, "OLAA");
-            let olaa_report = registry
-                .solve("olaa", &scenario, &SolveSpec::cold())
-                .unwrap();
-            assert_baseline_matches_report(
-                &olaa_legacy,
-                &olaa_report,
-                &format!("{name}/{seed} olaa"),
-            );
-
-            let occr_legacy = occr(&scenario, &config).unwrap();
-            assert_eq!(occr_legacy.name, "OCCR");
-            let occr_report = registry
-                .solve("occr", &scenario, &SolveSpec::cold())
-                .unwrap();
-            assert_baseline_matches_report(
-                &occr_legacy,
-                &occr_report,
-                &format!("{name}/{seed} occr"),
-            );
-        }
-    }
-}
-
-#[test]
-fn legacy_solve_from_matches_exploring_warm_spec() {
-    use rand::SeedableRng;
-    let scenario = SystemScenario::paper_default(42);
-    let config = config_for(&scenario);
-    let problem = Problem::new(scenario.clone(), config).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(29);
-    for _ in 0..2 {
-        let start = problem.random_initial_point(&mut rng).unwrap();
-        let legacy = QuheAlgorithm::new(config)
-            .solve_from(&problem, start.clone())
-            .unwrap();
-        let report = QuheSolver::new(config)
-            .solve(
-                &scenario,
-                &SolveSpec::warm_from(start).with_multi_start(true),
-            )
-            .unwrap();
-        assert_outcome_matches_report(&legacy, &report, "solve_from");
+    for name in catalog.names() {
+        for seed in SEEDS {
+            let scenario = catalog.generate(name, seed).unwrap();
+            let solver = QuheSolver::new(config_for(&scenario));
+            let sample = Problem::new(scenario.clone(), *solver.config())
+                .unwrap()
+                .random_initial_point(&mut rng)
+                .unwrap();
+            let spec = SolveSpec::warm_from(sample).with_multi_start(true);
+            let ctx = format!("{name}/{seed} exploring warm");
+            assert_prepared_matches_direct(&solver, &scenario, &spec, &ctx);
+        }
     }
 }
 
 #[test]
-fn legacy_solve_batch_matches_trait_solve_batch() {
+fn solve_batch_matches_serial_solves() {
+    let catalog = ScenarioCatalog::builtin();
     let scenarios: Vec<SystemScenario> = SEEDS
         .iter()
-        .map(|&s| SystemScenario::paper_default(s))
+        .flat_map(|&seed| catalog.generate_all(seed).unwrap())
+        .map(|(_, scenario)| scenario)
         .collect();
-    let config = config_for(&scenarios[0]);
-    let legacy = QuheAlgorithm::new(config).solve_batch(&scenarios, 0);
-    let reports = QuheSolver::new(config).solve_batch(&scenarios, &SolveSpec::cold(), 0);
-    assert_eq!(legacy.len(), reports.len());
-    for (i, (l, r)) in legacy.iter().zip(&reports).enumerate() {
-        assert_outcome_matches_report(
-            l.as_ref().unwrap(),
-            r.as_ref().unwrap(),
+    // One budget for the whole batch: the small one of the largest world.
+    let solver = QuheSolver::new(QuheConfig {
+        max_stage3_iterations: 3,
+        ..config_for(&scenarios[0])
+    });
+    let spec = SolveSpec::cold();
+    let batch = solver.solve_batch(&scenarios, &spec, 0);
+    assert_eq!(batch.len(), scenarios.len());
+    for (i, (batched, scenario)) in batch.iter().zip(&scenarios).enumerate() {
+        let serial = solver.solve(scenario, &spec).unwrap();
+        assert_reports_match(
+            batched.as_ref().unwrap(),
+            &serial,
             &format!("batch item {i}"),
         );
     }
