@@ -1,6 +1,7 @@
 //! Criterion benchmarks of the optimization toolkit on problems shaped like
 //! the QuHE subproblems (ablation: projected gradient vs. Newton vs. barrier
-//! on the same convex objective; branch-and-bound vs. exhaustive search).
+//! on the same convex objective). The Stage-2 sweep vs. exhaustive search
+//! ablation lives in the `stage2` group of the `stages` benches.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quhe_opt::prelude::*;
@@ -46,55 +47,5 @@ fn bench_continuous_solvers(c: &mut Criterion) {
     group.finish();
 }
 
-struct Separable {
-    tables: Vec<Vec<f64>>,
-}
-
-impl DiscreteProblem for Separable {
-    fn num_variables(&self) -> usize {
-        self.tables.len()
-    }
-    fn choices(&self, index: usize) -> Vec<usize> {
-        (0..self.tables[index].len()).collect()
-    }
-    fn evaluate(&self, assignment: &[usize]) -> f64 {
-        assignment
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| self.tables[i][c])
-            .sum()
-    }
-    fn upper_bound(&self, partial: &[usize]) -> f64 {
-        let assigned: f64 = partial
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| self.tables[i][c])
-            .sum();
-        let rest: f64 = self.tables[partial.len()..]
-            .iter()
-            .map(|t| t.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
-            .sum();
-        assigned + rest
-    }
-}
-
-fn bench_discrete_search(c: &mut Criterion) {
-    // Ten variables with three choices each: the same search-space size class
-    // as Stage 2 with a larger client count.
-    let tables: Vec<Vec<f64>> = (0..10)
-        .map(|i| vec![i as f64, 10.0 - i as f64, 0.5 * i as f64])
-        .collect();
-    let problem = Separable { tables };
-    let solver = BranchAndBound::default();
-    let mut group = c.benchmark_group("discrete_search_3^10");
-    group.bench_function("branch_and_bound", |b| {
-        b.iter(|| solver.maximize(black_box(&problem)).unwrap())
-    });
-    group.bench_function("exhaustive", |b| {
-        b.iter(|| solver.exhaustive(black_box(&problem)).unwrap())
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_continuous_solvers, bench_discrete_search);
+criterion_group!(benches, bench_continuous_solvers);
 criterion_main!(benches);

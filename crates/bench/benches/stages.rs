@@ -45,7 +45,7 @@ fn bench_stage2(c: &mut Criterion) {
     let problem = Problem::new(scenario(), fast_config()).unwrap();
     let vars = problem.initial_point().unwrap();
     let mut group = c.benchmark_group("stage2");
-    group.bench_function("branch_and_bound", |b| {
+    group.bench_function("threshold_sweep", |b| {
         b.iter(|| {
             Stage2Solver::new()
                 .solve(black_box(&problem), black_box(&vars))

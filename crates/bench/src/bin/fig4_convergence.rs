@@ -49,7 +49,7 @@ fn main() {
         stage1.iterations, stage1.runtime_s
     );
 
-    // Stage 2 (Fig. 4(b)): incumbent objective across branch-and-bound
+    // Stage 2 (Fig. 4(b)): incumbent objective across the threshold sweep's
     // improvements, starting from the Stage-1 rates.
     println!("Fig. 4(b): objective function value in Stage 2 (incumbent trace)");
     print_header(&["Step", "F_s2 incumbent"], &widths);
@@ -57,7 +57,7 @@ fn main() {
         print_row(&[i.to_string(), fmt(*value, 6)], &widths);
     }
     println!(
-        "optimal lambda = {:?}, {} nodes expanded, {} leaves evaluated\n",
+        "optimal lambda = {:?}, {} delay bounds examined, {} assignments scored\n",
         stage2.lambda, stage2.nodes_expanded, stage2.leaves_evaluated
     );
 

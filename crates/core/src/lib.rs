@@ -13,7 +13,8 @@
 //!   checking and feasible-point construction.
 //! * [`stage1`] — entanglement rates and Werner parameters via the convex
 //!   log-transformed problem P3 (Eq. 20) plus the closed-form Eq. (18).
-//! * [`stage2`] — CKKS polynomial degrees via branch-and-bound (Algorithm 2).
+//! * [`stage2`] — CKKS polynomial degrees via an exact threshold sweep over
+//!   the per-client delay tables (in place of Algorithm 2's branch-and-bound).
 //! * [`stage3`] — transmit powers, bandwidths and CPU frequencies via
 //!   quadratic-transform fractional programming (Eqs. 25–28, Algorithm 3).
 //! * [`quhe`] — the complete alternating procedure (Algorithm 4), run by

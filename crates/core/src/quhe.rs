@@ -41,6 +41,8 @@ pub struct OuterIterationRecord {
 /// * [`QuheError::InvalidConfig`] for an invalid configuration.
 /// * [`QuheError::DimensionMismatch`] when a [`StartMode::WarmFrom`] start
 ///   does not match the problem's client and link counts.
+/// * [`QuheError::ConstraintViolation`] when a warm start leaves a client
+///   with a non-finite Stage-2 gain or delay at some degree.
 /// * Substrate and stage-solver errors.
 pub(crate) fn alternate(
     config: &QuheConfig,
@@ -317,5 +319,35 @@ mod tests {
                 actual: 1
             }
         );
+    }
+
+    #[test]
+    fn a_warm_start_with_an_infinite_delay_is_a_constraint_violation() {
+        let scenario = SystemScenario::paper_default(11);
+        let solver = quhe(QuheConfig::default());
+        let cold = solver.solve(&scenario, &SolveSpec::cold()).unwrap();
+        let drifted = |edit: fn(&mut DecisionVariables)| {
+            let mut start = cold.variables.clone();
+            edit(&mut start);
+            solver.solve(&scenario, &SolveSpec::warm_from(start))
+        };
+        // Each of these leaves client 1 with an infinite delay at every
+        // degree, so no assignment has a finite objective.
+        for edit in [
+            (|v| v.bandwidth[0] = 1e300) as fn(&mut DecisionVariables),
+            |v| v.server_frequency[0] = 1e-300,
+        ] {
+            let err = drifted(edit).unwrap_err();
+            assert_eq!(err.kind(), "constraint_violation", "{err}");
+            assert!(err.to_string().contains("client 1"), "{err}");
+        }
+        // Out-of-range starts that Stage 3 repairs still solve.
+        for edit in [
+            (|v| v.power[0] = 1e300) as fn(&mut DecisionVariables),
+            |v| v.client_frequency[0] = 1e-300,
+        ] {
+            let report = drifted(edit).unwrap();
+            assert!(report.objective.is_finite());
+        }
     }
 }

@@ -32,8 +32,9 @@ impl SystemScenario {
     /// * `lambda_choices` empty — constraint (17d) needs a non-empty choice
     ///   set;
     /// * `lambda_choices` containing a duplicate or out-of-order entry — the
-    ///   choice set must be strictly ascending so branch-and-bound bounds are
-    ///   well defined.
+    ///   choice set must be strictly ascending so each set has one canonical
+    ///   encoding (and fingerprint), and Stage 2's lowest-index tie-break
+    ///   always favours the smaller degree.
     pub fn new(
         qkd: NetworkScenario,
         mec: MecScenario,

@@ -1,21 +1,32 @@
-//! Stage 2 of the QuHE algorithm: CKKS polynomial degrees via
-//! branch-and-bound (Algorithm 2 of the paper).
+//! Stage 2 of the QuHE algorithm: CKKS polynomial degrees by an exact
+//! threshold sweep.
 //!
 //! With `(phi, w)` and the communication/computation resources fixed, the
 //! objective of problem P1 depends on the discrete degrees `lambda` through
 //! the security utility `U_msl`, the server computation energy, and the
 //! system delay `T` (whose optimal value, Eq. 21/23, is the largest per-client
-//! end-to-end delay). The resulting maximization over the finite set
-//! `{lambda^(set)_1, …, lambda^(set)_M}^N` is solved with the best-first
-//! branch-and-bound engine of `quhe-opt`; an exhaustive-search variant is
-//! kept for the ablation benches and for verifying optimality in tests.
+//! end-to-end delay). Over the finite set `{lambda^(set)_1, …,
+//! lambda^(set)_M}^N` the Stage-2 objective (Eq. 22) is
+//! `F_s2 = c + Σ_n g[n][m_n] − α_t · max_n d[n][m_n]`, so the clients are
+//! coupled only through the max-delay term.
+//!
+//! That coupling admits an exact sweep in place of the paper's
+//! branch-and-bound (Algorithm 2) — the bottleneck technique of Edmonds and
+//! Fulkerson ("Bottleneck extrema", 1970). For each table delay `T` in
+//! ascending order, every client takes its highest-gain degree whose delay is
+//! at most `T`, and the best assignment over all `T` wins. At the optimum's
+//! own max delay `T*` each client's choice has at least the optimum's gain
+//! and at most delay `T*`; floating-point addition is monotone, so that
+//! assignment's computed objective is at least the optimum's, bit for bit.
+//! The sweep scores at most `N·M` assignments and needs no search tree. An
+//! exhaustive enumeration is kept for the ablation benches and for verifying
+//! optimality in tests.
 
 use std::time::Instant;
 
 use quhe_crypto::cost_model::min_security_level;
-use quhe_opt::bnb::{BranchAndBound, DiscreteProblem};
 
-use crate::error::QuheResult;
+use crate::error::{QuheError, QuheResult};
 use crate::problem::Problem;
 use crate::variables::DecisionVariables;
 
@@ -32,9 +43,10 @@ pub struct Stage2Result {
     /// Incumbent objective after each improvement found by the search
     /// (reproduces the paper's Fig. 4(b)).
     pub trace: Vec<f64>,
-    /// Number of search nodes expanded.
+    /// Number of delay bounds the sweep examined (for the exhaustive
+    /// search, the number of assignments enumerated).
     pub nodes_expanded: usize,
-    /// Number of complete assignments evaluated.
+    /// Number of complete assignments scored.
     pub leaves_evaluated: usize,
     /// Wall-clock runtime in seconds.
     pub runtime_s: f64,
@@ -58,6 +70,10 @@ struct Stage2Tables {
 }
 
 impl Stage2Tables {
+    /// # Errors
+    /// [`QuheError::ConstraintViolation`] naming the client and degree whose
+    /// gain or delay is not finite (an out-of-range warm start can drive a
+    /// delay to infinity), plus substrate errors for malformed variables.
     fn build(problem: &Problem, vars: &DecisionVariables) -> QuheResult<Self> {
         let choices = problem.scenario().lambda_choices().to_vec();
         let weights = problem.config().weights;
@@ -76,9 +92,23 @@ impl Stage2Tables {
             for (m, &lambda) in choices.iter().enumerate() {
                 probe.lambda[n] = lambda;
                 let cost = problem.client_cost(&probe, n)?;
-                gains[n][m] = weights.security * privacy[n] * min_security_level(lambda as f64)
+                let gain = weights.security * privacy[n] * min_security_level(lambda as f64)
                     - weights.energy * cost.computation_energy_j;
-                delays[n][m] = cost.total_delay_s();
+                let delay = cost.total_delay_s();
+                if !(gain.is_finite() && delay.is_finite()) {
+                    return Err(QuheError::ConstraintViolation {
+                        reason: format!(
+                            "stage 2: client {} at lambda {} has gain {} and delay {}; \
+                             both must be finite",
+                            n + 1,
+                            lambda,
+                            gain,
+                            delay
+                        ),
+                    });
+                }
+                gains[n][m] = gain;
+                delays[n][m] = delay;
             }
             probe.lambda[n] = vars.lambda[n];
         }
@@ -99,53 +129,107 @@ impl Stage2Tables {
             .enumerate()
             .map(|(n, &m)| self.gains[n][m])
             .sum();
-        let delay = assignment
+        self.constant + gain - self.alpha_t * self.max_delay(assignment)
+    }
+
+    fn max_delay(&self, assignment: &[usize]) -> f64 {
+        assignment
             .iter()
             .enumerate()
             .map(|(n, &m)| self.delays[n][m])
-            .fold(0.0_f64, f64::max);
-        self.constant + gain - self.alpha_t * delay
+            .fold(0.0_f64, f64::max)
+    }
+
+    /// The exact threshold sweep (see the module docs). Bounds below the
+    /// largest per-client minimum delay leave some client without a degree,
+    /// so the sweep starts there; a bound that changes no client's choice is
+    /// examined but not scored again.
+    fn sweep(&self) -> Search {
+        let mut bounds: Vec<f64> = self.delays.iter().flatten().copied().collect();
+        bounds.sort_by(f64::total_cmp);
+        bounds.dedup();
+        let floor = self
+            .delays
+            .iter()
+            .map(|row| row.iter().copied().fold(f64::INFINITY, f64::min))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let mut assignment = vec![0; self.gains.len()];
+        self.choose_within(floor, &mut assignment);
+        let mut search = Search::new(self, assignment.clone());
+        for &bound in bounds.iter().filter(|&&bound| bound > floor) {
+            search.nodes += 1;
+            if self.choose_within(bound, &mut assignment) {
+                search.offer(self, &assignment);
+            }
+        }
+        search
+    }
+
+    /// Gives each client its highest-gain degree whose delay is at most
+    /// `bound`, the lowest index on a gain tie, and returns whether any
+    /// client's choice changed. Every client has such a degree once `bound`
+    /// reaches the sweep's floor.
+    fn choose_within(&self, bound: f64, assignment: &mut [usize]) -> bool {
+        let mut changed = false;
+        for ((gains, delays), choice) in self.gains.iter().zip(&self.delays).zip(assignment) {
+            let best = (0..gains.len())
+                .filter(|&m| delays[m] <= bound)
+                .reduce(|best, m| if gains[m] > gains[best] { m } else { best })
+                .unwrap_or(*choice);
+            changed |= best != *choice;
+            *choice = best;
+        }
+        changed
+    }
+
+    /// Scores all `M^N` assignments in lexicographic order.
+    fn exhaustive(&self) -> Search {
+        let mut assignment = vec![0; self.gains.len()];
+        let mut search = Search::new(self, assignment.clone());
+        // Odometer: advance the last client with a higher degree left and
+        // reset every client after it.
+        while let Some(pos) = assignment.iter().rposition(|&m| m + 1 < self.choices.len()) {
+            assignment[pos] += 1;
+            assignment[pos + 1..].fill(0);
+            search.nodes += 1;
+            search.offer(self, &assignment);
+        }
+        search
     }
 }
 
-impl DiscreteProblem for Stage2Tables {
-    fn num_variables(&self) -> usize {
-        self.gains.len()
+/// The incumbent of a Stage-2 search and its work counters.
+struct Search {
+    assignment: Vec<usize>,
+    objective: f64,
+    trace: Vec<f64>,
+    nodes: usize,
+    leaves: usize,
+}
+
+impl Search {
+    /// Starts a search with `assignment` scored as the first incumbent.
+    fn new(tables: &Stage2Tables, assignment: Vec<usize>) -> Self {
+        let objective = tables.objective(&assignment);
+        Self {
+            assignment,
+            objective,
+            trace: vec![objective],
+            nodes: 1,
+            leaves: 1,
+        }
     }
 
-    fn choices(&self, _index: usize) -> Vec<usize> {
-        (0..self.choices.len()).collect()
-    }
-
-    fn evaluate(&self, assignment: &[usize]) -> f64 {
-        self.objective(assignment)
-    }
-
-    fn upper_bound(&self, partial: &[usize]) -> f64 {
-        // Assigned clients contribute their exact gains; unassigned clients
-        // contribute their best possible gain. The max-delay term is bounded
-        // from below by the assigned delays and by each unassigned client's
-        // smallest achievable delay, giving a valid optimistic bound.
-        let assigned_gain: f64 = partial
-            .iter()
-            .enumerate()
-            .map(|(n, &m)| self.gains[n][m])
-            .sum();
-        let optimistic_gain: f64 = self.gains[partial.len()..]
-            .iter()
-            .map(|row| row.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
-            .sum();
-        let assigned_delay = partial
-            .iter()
-            .enumerate()
-            .map(|(n, &m)| self.delays[n][m])
-            .fold(0.0_f64, f64::max);
-        let unassigned_min_delay = self.delays[partial.len()..]
-            .iter()
-            .map(|row| row.iter().cloned().fold(f64::INFINITY, f64::min))
-            .fold(0.0_f64, f64::max);
-        let delay_lower_bound = assigned_delay.max(unassigned_min_delay);
-        self.constant + assigned_gain + optimistic_gain - self.alpha_t * delay_lower_bound
+    /// Scores `assignment`, which replaces the incumbent only when it is
+    /// strictly better.
+    fn offer(&mut self, tables: &Stage2Tables, assignment: &[usize]) {
+        let objective = tables.objective(assignment);
+        self.leaves += 1;
+        if objective > self.objective {
+            self.assignment.copy_from_slice(assignment);
+            self.objective = objective;
+            self.trace.push(objective);
+        }
     }
 }
 
@@ -159,17 +243,21 @@ impl Stage2Solver {
         Self
     }
 
-    /// Solves Stage 2 by best-first branch-and-bound (Algorithm 2).
+    /// Solves Stage 2 exactly by the threshold sweep of the module docs: at
+    /// most `N·M` delay bounds examined and assignments scored, with no node
+    /// cap.
     ///
     /// # Errors
-    /// Propagates substrate errors for malformed variables and
-    /// [`crate::error::QuheError::Opt`] if the search space is empty.
+    /// [`QuheError::ConstraintViolation`] when a client's gain or delay is
+    /// not finite at some degree, and substrate errors for malformed
+    /// variables.
     pub fn solve(&self, problem: &Problem, vars: &DecisionVariables) -> QuheResult<Stage2Result> {
-        self.run(problem, vars, false)
+        Self::run(problem, vars, Stage2Tables::sweep)
     }
 
-    /// Solves Stage 2 by exhaustive enumeration (the ablation baseline the
-    /// paper mentions before opting for branch-and-bound).
+    /// Solves Stage 2 by exhaustive enumeration of all `M^N` assignments (the
+    /// ablation baseline the paper mentions before opting for
+    /// branch-and-bound).
     ///
     /// # Errors
     /// Same conditions as [`Stage2Solver::solve`].
@@ -178,41 +266,28 @@ impl Stage2Solver {
         problem: &Problem,
         vars: &DecisionVariables,
     ) -> QuheResult<Stage2Result> {
-        self.run(problem, vars, true)
+        Self::run(problem, vars, Stage2Tables::exhaustive)
     }
 
     fn run(
-        &self,
         problem: &Problem,
         vars: &DecisionVariables,
-        exhaustive: bool,
+        search: fn(&Stage2Tables) -> Search,
     ) -> QuheResult<Stage2Result> {
         let start = Instant::now();
         let tables = Stage2Tables::build(problem, vars)?;
-        let solver = BranchAndBound::default();
-        let outcome = if exhaustive {
-            solver.exhaustive(&tables)?
-        } else {
-            solver.maximize(&tables)?
-        };
-        let lambda: Vec<u64> = outcome
-            .assignment
-            .iter()
-            .map(|&m| tables.choices[m])
-            .collect();
-        let delay_bound = outcome
-            .assignment
-            .iter()
-            .enumerate()
-            .map(|(n, &m)| tables.delays[n][m])
-            .fold(0.0_f64, f64::max);
+        let search = search(&tables);
         Ok(Stage2Result {
-            lambda,
-            delay_bound,
-            objective: outcome.objective,
-            trace: outcome.incumbent_trace,
-            nodes_expanded: outcome.nodes_expanded,
-            leaves_evaluated: outcome.leaves_evaluated,
+            lambda: search
+                .assignment
+                .iter()
+                .map(|&m| tables.choices[m])
+                .collect(),
+            delay_bound: tables.max_delay(&search.assignment),
+            objective: search.objective,
+            trace: search.trace,
+            nodes_expanded: search.nodes,
+            leaves_evaluated: search.leaves,
             runtime_s: start.elapsed().as_secs_f64(),
         })
     }
@@ -244,15 +319,56 @@ mod tests {
     }
 
     #[test]
-    fn branch_and_bound_matches_exhaustive_search() {
+    fn the_sweep_matches_exhaustive_search() {
         let (problem, vars) = setup();
         let solver = Stage2Solver::new();
-        let bnb = solver.solve(&problem, &vars).unwrap();
+        let sweep = solver.solve(&problem, &vars).unwrap();
         let exhaustive = solver.solve_exhaustive(&problem, &vars).unwrap();
-        assert!((bnb.objective - exhaustive.objective).abs() < 1e-9);
-        assert_eq!(bnb.lambda, exhaustive.lambda);
-        // Pruning should not expand more leaves than exhaustive enumeration.
-        assert!(bnb.leaves_evaluated <= exhaustive.leaves_evaluated);
+        assert_eq!(sweep.objective, exhaustive.objective);
+        assert_eq!(sweep.lambda, exhaustive.lambda);
+        assert_eq!(exhaustive.leaves_evaluated, 3usize.pow(6));
+        // At most one delay bound and one scored assignment per table entry.
+        assert!(sweep.nodes_expanded <= 6 * 3);
+        assert!(sweep.leaves_evaluated <= sweep.nodes_expanded);
+    }
+
+    #[test]
+    fn the_sweep_matches_exhaustive_search_on_random_tables() {
+        use rand::{Rng, SeedableRng};
+        // Small-integer tables keep every sum exact, so equal objectives are
+        // bit-equal and gain or delay ties are common.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for case in 0..500 {
+            let n_clients = rng.gen_range(1..=7);
+            let n_choices = rng.gen_range(1..=4);
+            let mut table = |lo: i32, hi: i32| -> Vec<Vec<f64>> {
+                (0..n_clients)
+                    .map(|_| {
+                        (0..n_choices)
+                            .map(|_| f64::from(rng.gen_range(lo..=hi)))
+                            .collect()
+                    })
+                    .collect()
+            };
+            let tables = Stage2Tables {
+                gains: table(-4, 4),
+                delays: table(1, 5),
+                constant: f64::from(rng.gen_range(-3..=3)),
+                alpha_t: f64::from(rng.gen_range(0..=3)),
+                choices: (0..n_choices as u64).collect(),
+            };
+            let sweep = tables.sweep();
+            let exhaustive = tables.exhaustive();
+            assert_eq!(sweep.objective, exhaustive.objective, "case {case}");
+            assert_eq!(tables.objective(&sweep.assignment), sweep.objective);
+            assert!(sweep.nodes <= n_clients * n_choices, "case {case}");
+            assert!(sweep.leaves <= sweep.nodes, "case {case}");
+            assert_eq!(exhaustive.leaves, n_choices.pow(n_clients as u32));
+            for trace in [&sweep.trace, &exhaustive.trace] {
+                assert!(trace.windows(2).all(|pair| pair[1] > pair[0]));
+                assert_eq!(trace.last(), Some(&sweep.objective));
+            }
+        }
     }
 
     #[test]

@@ -41,8 +41,6 @@ pub enum OptError {
         /// Iterations performed before giving up.
         iterations: usize,
     },
-    /// The discrete search space handed to branch-and-bound is empty.
-    EmptySearchSpace,
 }
 
 impl fmt::Display for OptError {
@@ -64,7 +62,6 @@ impl fmt::Display for OptError {
             OptError::DidNotConverge { iterations } => {
                 write!(f, "solver did not converge within {iterations} iterations")
             }
-            OptError::EmptySearchSpace => write!(f, "discrete search space is empty"),
         }
     }
 }

@@ -4,7 +4,8 @@
 //! allocation problem with a three-stage alternating optimization:
 //!
 //! 1. a convex subproblem in the (log-transformed) entanglement rates,
-//! 2. a branch-and-bound search over the discrete CKKS polynomial degrees,
+//! 2. a discrete choice of the CKKS polynomial degrees (an exact threshold
+//!    sweep that lives in `quhe-core`, since it needs no generic machinery),
 //! 3. a fractional-programming / alternating convex subproblem over the
 //!    communication and computation resources.
 //!
@@ -21,7 +22,6 @@
 //! * projected gradient descent ([`gradient`]), damped Newton ([`newton`]) and
 //!   a log-barrier interior-point method ([`barrier`]) for smooth convex
 //!   problems,
-//! * a generic best-first branch-and-bound engine ([`bnb`]),
 //! * the quadratic-transform fractional-programming driver of Shen & Yu
 //!   ([`fractional`]), and
 //! * simulated annealing ([`annealing`]) and random search ([`random_search`])
@@ -49,7 +49,6 @@
 
 pub mod annealing;
 pub mod barrier;
-pub mod bnb;
 pub mod diff;
 pub mod error;
 pub mod fractional;
@@ -66,7 +65,6 @@ pub use error::{OptError, OptResult};
 pub mod prelude {
     pub use crate::annealing::{SimulatedAnnealing, SimulatedAnnealingConfig};
     pub use crate::barrier::{BarrierConfig, BarrierSolver, InequalityProblem};
-    pub use crate::bnb::{BranchAndBound, BranchAndBoundConfig, DiscreteProblem};
     pub use crate::diff::{central_gradient, central_hessian};
     pub use crate::error::{OptError, OptResult};
     pub use crate::fractional::{QuadraticTransform, QuadraticTransformConfig, RatioTerm};

@@ -33,6 +33,8 @@
 //!   envelopes and the reader resynchronizes on the next frame. A stream
 //!   that ends mid-frame gets a best-effort truncation envelope before the
 //!   connection closes.
+//! * **Panics**: a solve that panics is answered with a retryable
+//!   `overloaded` envelope, and its worker carries on with the next job.
 //! * **Graceful shutdown**: [`TcpServer::shutdown`] stops accepting,
 //!   unwinds the readers, drains the queue, answers everything already
 //!   admitted, then joins the workers.
@@ -40,6 +42,7 @@
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -519,7 +522,16 @@ fn worker_loop(shared: &Shared) {
             continue; // timed out waiting; re-check for closure
         };
         let id = job.request.id.clone();
-        let body = match shared.service.handle(&job.request) {
+        // A panicking solve must cost neither this worker nor the client's
+        // reply: it gets the retryable error that the coalesced followers
+        // of an unwound leader get.
+        let handled = panic::catch_unwind(AssertUnwindSafe(|| shared.service.handle(&job.request)))
+            .unwrap_or_else(|_| {
+                Err(QuheError::Overloaded {
+                    reason: "the solve panicked before answering; retry".to_string(),
+                })
+            });
+        let body = match handled {
             Ok(response) => wire::ok_envelope(Protocol::V2, &response),
             Err(e) => wire::error_envelope(Protocol::V2, id.as_deref(), &e),
         };

@@ -11,7 +11,7 @@
 //! | [`qkd`] | `quhe-qkd` | Werner-parameter link model, SURFnet topology, secret-key fraction, QKD network utility, entanglement-protocol simulation, key pools |
 //! | [`crypto`] | `quhe-crypto` | ChaCha20, negacyclic polynomial ring + NTT, simplified CKKS, transciphering, LWE-estimator surrogate, fitted cost models |
 //! | [`mec`] | `quhe-mec` | Wireless channel + Shannon rate, transmission/computation delay and energy models, scenario generation |
-//! | [`opt`] | `quhe-opt` | Projected gradient, Newton, log-barrier interior point, branch-and-bound, fractional programming, simulated annealing, block descent |
+//! | [`opt`] | `quhe-opt` | Projected gradient, Newton, log-barrier interior point, fractional programming, simulated annealing, random search |
 //! | [`core`] | `quhe-core` | Problem P1, the three-stage QuHE algorithm, baselines (AA/OLAA/OCCR, GD/SA/RS), metrics and the optimality study |
 //! | [`serve`] | `quhe-serve` | Solve service: JSON request/response protocol, content-addressed scenario cache, warm-start reuse, multi-worker batch serving |
 //!

@@ -1,6 +1,7 @@
 //! Loopback invariants of the framed TCP front end: coalescing across real
-//! connections, malformed-frame resilience, shed-load envelopes, and front-end
-//! counters that account for every reply a client has read.
+//! connections, malformed-frame resilience, shed-load envelopes, workers that
+//! survive a panicking solve, and front-end counters that account for every
+//! reply a client has read.
 //!
 //! These tests exercise the full path the repository benchmark in
 //! `perfbench/` measures: client socket → frame codec → admission queue →
@@ -214,6 +215,73 @@ fn a_stream_dying_mid_frame_is_answered_with_a_truncation_envelope() {
     assert!(message.contains("mid-frame"), "{message}");
     // The server closed its side after the envelope.
     assert_eq!(read_frame(&mut stream).unwrap(), None);
+    server.shutdown();
+}
+
+/// A registered solver whose every solve panics, standing in for a solver
+/// bug.
+struct PanickingSolver(QuheConfig);
+
+impl Solver for PanickingSolver {
+    fn name(&self) -> &str {
+        "boom"
+    }
+
+    fn description(&self) -> &str {
+        "panics on every solve"
+    }
+
+    fn config(&self) -> &QuheConfig {
+        &self.0
+    }
+
+    fn with_config(&self, config: QuheConfig) -> Box<dyn Solver> {
+        Box::new(Self(config))
+    }
+
+    fn solve(&self, _: &SystemScenario, _: &SolveSpec) -> QuheResult<SolveReport> {
+        panic!("injected solver panic")
+    }
+}
+
+#[test]
+fn a_panicking_solve_is_answered_and_its_worker_survives() {
+    // One worker: the request served after the panic proves the pool
+    // survived it.
+    let mut registry = SolverRegistry::builtin_with(quick_config());
+    registry
+        .register(Box::new(PanickingSolver(quick_config())))
+        .unwrap();
+    let service = Arc::new(
+        ServiceConfig::new(quick_config())
+            .with_worker_threads(1)
+            .build_with(registry, ScenarioCatalog::builtin()),
+    );
+    let server = TcpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let mut stream = connect(&server);
+    // A lost reply shows up as a read timeout; fail fast on it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let boom = SolveRequest::catalog("paper_default", 1)
+        .with_solver("boom")
+        .with_id("boom");
+    let WireReply::Err { id, kind, message } = roundtrip(&mut stream, &boom.to_json()) else {
+        panic!("a panicking solve cannot succeed");
+    };
+    assert_eq!(id.as_deref(), Some("boom"));
+    assert_eq!(kind, "overloaded", "{message}");
+    assert!(message.contains("retry"), "{message}");
+
+    let after = SolveRequest::catalog("paper_default", 1).with_id("after");
+    let WireReply::Ok(after) = roundtrip(&mut stream, &after.to_json()) else {
+        panic!("the worker must survive the panic");
+    };
+    assert_eq!(after.id.as_deref(), Some("after"));
+    let net = server.stats();
+    assert_eq!(net.frames, 2, "net: {net:?}");
+    assert_eq!(net.frames, net.responses, "net: {net:?}");
     server.shutdown();
 }
 

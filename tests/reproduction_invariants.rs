@@ -29,19 +29,63 @@ fn equation_18_werner_assignment_saturates_link_capacity() {
 }
 
 #[test]
-fn stage2_branch_and_bound_is_exact_on_randomized_resource_allocations() {
+fn stage2_sweep_is_exact_on_randomized_resource_allocations() {
     use rand::SeedableRng;
-    let scenario = SystemScenario::paper_default(9);
+    // Every world small enough to enumerate: N <= 12 clients, so each
+    // exhaustive call scores at most 3^12 = 531,441 assignments.
+    let catalog = ScenarioCatalog::builtin();
     let config = QuheConfig::default();
-    let problem = Problem::new(scenario, config).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(21);
     let solver = Stage2Solver::new();
-    for _ in 0..5 {
-        let vars = problem.random_initial_point(&mut rng).unwrap();
-        let bnb = solver.solve(&problem, &vars).unwrap();
-        let exhaustive = solver.solve_exhaustive(&problem, &vars).unwrap();
-        assert!((bnb.objective - exhaustive.objective).abs() < 1e-9);
-        assert_eq!(bnb.lambda, exhaustive.lambda);
+    for world in [
+        "paper_default",
+        "heterogeneous_devices",
+        "far_edge",
+        "bursty_workload",
+    ] {
+        let problem = Problem::new(catalog.generate(world, 9).unwrap(), config).unwrap();
+        for _ in 0..5 {
+            let vars = problem.random_initial_point(&mut rng).unwrap();
+            let sweep = solver.solve(&problem, &vars).unwrap();
+            let exhaustive = solver.solve_exhaustive(&problem, &vars).unwrap();
+            assert_eq!(sweep.objective, exhaustive.objective, "{world}");
+            assert_eq!(sweep.lambda, exhaustive.lambda, "{world}");
+        }
+    }
+}
+
+#[test]
+fn dense_seeds_that_broke_branch_and_bound_solve_with_bounded_stage2_work() {
+    // The `dense_cell` seeds the repository benchmark excludes from its pool
+    // (`EXCLUDED_DENSE_SEEDS` in perfbench): on the first six the former
+    // branch-and-bound hit its 1,000,000-node cap and failed the solve, on
+    // the rest it ran slow. Solved under the benchmark's solver config.
+    let seeds = [
+        51, 67, 173, 193, 457, 460, 23, 45, 89, 168, 276, 313, 395, 459, 532, 582, 609,
+    ];
+    let config = QuheConfig {
+        max_outer_iterations: 5,
+        max_stage3_iterations: 20,
+        solver_threads: 1,
+        ..QuheConfig::default()
+    };
+    let catalog = ScenarioCatalog::builtin();
+    let solver = QuheSolver::new(config);
+    for seed in seeds {
+        let scenario = catalog.generate("dense_cell", seed).unwrap();
+        let report = solver
+            .solve(&scenario, &SolveSpec::cold())
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let table_entries = scenario.num_clients() * scenario.lambda_choices().len();
+        Problem::new(scenario, config)
+            .unwrap()
+            .check_feasible(&report.variables)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        // Bounded work per Stage-2 call: at most one delay bound and one
+        // scored assignment per table entry.
+        let stage2 = report.stage2.as_ref().expect("standard instrumentation");
+        assert!(stage2.nodes_expanded <= table_entries, "seed {seed}");
+        assert!(stage2.leaves_evaluated <= table_entries, "seed {seed}");
     }
 }
 
