@@ -4,11 +4,18 @@
     python3 .github/perfbench_gate.py check    # run, then gate (the CI job)
     python3 .github/perfbench_gate.py record   # run, then rewrite the reference
 
-Both modes run, at the reference seed, one untraced window per workload and
-a series of traced cold_catalogue windows, and write each run's JSON result
-line to perfbench-ci/. Every run must exit 0 with "correct": true and
-"failed": 0; every traced run must report each opt.*_ns kernel timing above
-zero and net.frames_minus_responses == 0.
+Both modes run, at the reference seed, one untraced window per workload, a
+series of traced cold_catalogue windows and one traced drift_track window,
+and write each run's JSON result line to perfbench-ci/. Every run must exit 0
+with "correct": true and "failed": 0; every traced cold_catalogue run must
+report each opt.*_ns kernel timing above zero and
+net.frames_minus_responses == 0.
+
+The traced drift_track window is the one run whose requests take the warm
+path. Its replay re-runs perfbench's own copy of the service's warm -> floor
+guard -> cold fallback rule and counts a request whose replayed path differs
+from the server's as failed, so "failed": 0 checks that the copy still
+matches quhe-core's solve_warm_guarded. It does not enter the reference.
 
 `check` also fails when
 * a workload's objective_mean differs from the reference (the figure is exact
@@ -89,6 +96,7 @@ def main(mode):
     os.makedirs(OUT_DIR)
     windows = {w: perfbench(w, w, SECONDS, 0) for w in WORKLOADS}
     traced = [traced_run(i) for i in range(1, TRACED_RUNS[mode] + 1)]
+    perfbench("traced-drift", "drift_track", TRACED_SECONDS, 1)
     stage3 = stage3_medians(traced)
 
     if mode == "record":

@@ -13,13 +13,12 @@
 //! | `tables_5_6` | Tables V and VI: per-method `phi` and `w` values |
 //! | `fig6_sweeps` | Fig. 6(a)–(d): objective vs. resource budgets |
 //! | `batch_eval` | `BENCH_batch.json`: scenario-catalogue grid, serial vs parallel |
-//! | `online_eval` | `BENCH_online.json`: dynamic traces, warm-started tracking vs cold re-solving |
 //!
 //! Serving and solver performance — latency, throughput, per-stage and
-//! per-kernel timings — is measured by the repository benchmark in
-//! `perfbench/`, not here. `batch_eval` and `online_eval` stay because they
-//! measure what perfbench never runs: `Solver::solve_batch` and the online
-//! engine.
+//! per-kernel timings, and the warm-serving policy the online engine shares
+//! with the service — is measured by the repository benchmark in
+//! `perfbench/`, not here. `batch_eval` stays because it measures what
+//! perfbench never runs: `Solver::solve_batch`.
 //!
 //! Every binary accepts the environment variables `QUHE_SEED` (default 42)
 //! and, where relevant, `QUHE_SAMPLES` / `QUHE_POINTS`, so that quick smoke

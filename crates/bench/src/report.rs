@@ -1,13 +1,12 @@
 //! The shared report writer of the experiment harness.
 //!
-//! Both JSON-emitting binaries (`batch_eval`, `online_eval`) build a
-//! [`JsonValue`] document through the helpers here and hand it to
-//! [`write()`], so their `BENCH_*.json` artifacts share one envelope (schema
-//! tag, mode, solver name, scenario and seed grids) and one field
-//! vocabulary: a job is always identified by `scenario` / `seed` /
-//! `clients`, a measured solve always reports `objective` /
-//! `outer_iterations` / `converged` / `wall_s`, and full solver output is
-//! embedded as a [`SolveReport`] JSON tree.
+//! The JSON-emitting binary (`batch_eval`) builds a [`JsonValue`] document
+//! through the helpers here and hands it to [`write()`], so its
+//! `BENCH_*.json` artifact has one envelope (schema tag, mode, solver name,
+//! scenario and seed grids) and one field vocabulary: a job is always
+//! identified by `scenario` / `seed` / `clients`, a measured solve always
+//! reports `objective` / `outer_iterations` / `converged` / `wall_s`, and
+//! full solver output is embedded as a [`SolveReport`] JSON tree.
 
 use quhe_core::prelude::*;
 

@@ -6,7 +6,7 @@
 //! writer (stable key order — objects are ordered vectors, not maps) and a
 //! strict recursive-descent parser. [`crate::solver::SolveReport`] round-trips
 //! through it, and the `quhe-bench` report writer emits the `BENCH_batch.json`
-//! and `BENCH_online.json` artifacts with it.
+//! artifact with it.
 //!
 //! Numbers are stored as their JSON token text ([`JsonValue::Number`] wraps a
 //! `String`), so integer exactness and `f64` shortest-round-trip formatting

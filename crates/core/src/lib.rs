@@ -43,8 +43,9 @@
 //! * [`online`] — the online dynamic-world engine: seed-deterministic
 //!   system-level event traces ([`online::SystemTrace`]) and
 //!   [`online::solve_online_with`], which tracks a drifting world with any
-//!   solver via warm-started incremental re-solves with a cold-solve
-//!   fallback.
+//!   solver via warm-started incremental re-solves under
+//!   [`online::solve_warm_guarded`], the warm → floor guard → cold fallback
+//!   policy it shares with the `quhe-serve` near-miss path.
 //!
 //! # Example
 //!
@@ -94,8 +95,8 @@ pub mod prelude {
     pub use crate::json::{JsonError, JsonValue};
     pub use crate::metrics::MethodMetrics;
     pub use crate::online::{
-        prepare_warm_tracking, solve_online_with, OnlineOutcome, OnlineStepRecord,
-        OnlineTraceConfig, SolveKind, SystemStep, SystemTrace,
+        prepare_warm_tracking, solve_online_with, solve_warm_guarded, OnlineOutcome,
+        OnlineStepRecord, OnlineTraceConfig, SolveKind, SystemStep, SystemTrace, WarmSolve,
     };
     pub use crate::params::{ObjectiveWeights, QuheConfig};
     pub use crate::problem::Problem;

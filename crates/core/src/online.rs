@@ -11,17 +11,16 @@
 //!
 //! [`solve_online_with`] then tracks the timeline with any registered
 //! [`Solver`]: each step is re-solved warm-started from the previous step's
-//! optimum (a [`SolveSpec::warm_from`] solve, which rides the anchor's basin
-//! without re-running the Stage-3 multi-start), falling back to a cold
-//! multi-start solve when the world changed structurally (the client count
-//! differs, so the previous variables do not even have the right dimensions)
-//! or when the warm solve regressed suspiciously far below the previous
-//! objective. Solvers without warm-start support (the one-shot baselines)
-//! are re-solved cold at every changed step. Steps whose world did not
-//! change at all reuse the previous outcome outright. Per-step work (solve
-//! kind, outer iterations, stage calls, wall-clock) is recorded so the
-//! warm-start saving is measurable — `online_eval` in `quhe-bench` turns
-//! those records into `BENCH_online.json`.
+//! optimum under the warm-serving policy of [`solve_warm_guarded`], which
+//! the `quhe-serve` near-miss path runs too: the warm solve is kept when it
+//! reaches the cold single-start floor of the same world, and otherwise a
+//! cold multi-start re-solve runs and the best of the three is kept. A step
+//! whose client count changed (the previous variables do not even have the
+//! right dimensions) solves cold, as does every changed step of a solver
+//! without warm-start support (the one-shot baselines). Steps whose world did
+//! not change at all reuse the previous outcome outright. Per-step work
+//! (solve kind, outer iterations, stage calls, wall-clock) is recorded so
+//! the warm-start saving is measurable.
 
 use std::time::Instant;
 
@@ -46,11 +45,6 @@ const SECRET_BITS_PER_PAIR: f64 = 0.5;
 /// is expanded from a short key, so the demand is a small fraction of the
 /// payload).
 const KEY_BITS_PER_UPLOAD_BIT: f64 = 1e-8;
-
-/// Relative drop below the previous step's objective beyond which a warm
-/// re-solve is treated as having lost its basin and a cold multi-start
-/// fallback is triggered.
-pub const REGRESSION_SLACK: f64 = 0.05;
 
 /// Relative tracking tolerance of warm re-solves: a warm step is accepted
 /// once its first full alternation pass improves the objective by less than
@@ -303,8 +297,8 @@ pub enum SolveKind {
     Cold,
     /// Warm-started solve from the previous step's optimum.
     Warm,
-    /// Warm solve regressed; a cold fallback ran and the better outcome was
-    /// kept.
+    /// The warm solve fell below the single-start floor; the cold fallback
+    /// ran and the best of the warm, floor and cold solves was kept.
     WarmFallback,
     /// The world did not change; the previous outcome was reused without
     /// solving.
@@ -342,11 +336,6 @@ pub struct OnlineStepRecord {
     /// Outer iterations of the single-start floor guard (0 for cold and
     /// cached steps, which need no guard).
     pub guard_outer_iterations: usize,
-    /// Wall-clock spent on the floor guard, in seconds (contained in
-    /// [`OnlineStepRecord::runtime_s`]; subtract to get the tracking-path
-    /// wall). The guard is an independent solve, so deployments can push it
-    /// off the latency path onto an idle core.
-    pub guard_runtime_s: f64,
     /// Objective of the floor guard's cold single-start solve (`None` for
     /// cold and cached steps, which run no guard). Consumers comparing
     /// against the single-start baseline can read it from here instead of
@@ -387,11 +376,6 @@ impl OnlineOutcome {
     pub fn total_runtime_s(&self) -> f64 {
         self.records.iter().map(|r| r.runtime_s).sum()
     }
-
-    /// Total wall-clock spent on floor guards across all steps, in seconds.
-    pub fn total_guard_runtime_s(&self) -> f64 {
-        self.records.iter().map(|r| r.guard_runtime_s).sum()
-    }
 }
 
 /// The per-step configuration: the base configuration with the step's
@@ -411,10 +395,8 @@ pub fn anchor_config(base: &QuheConfig, step: &SystemStep) -> QuheConfig {
     config
 }
 
-/// Prepares a warm tracking re-solve from an anchor optimum — the one
-/// definition of "warm-start semantics" shared by the online engine's
-/// per-step warm solves and the `quhe-serve` near-miss path, so the two
-/// cannot silently drift apart: the tolerance is widened to the scale-aware
+/// Prepares a warm tracking re-solve from an anchor optimum — the warm half
+/// of [`solve_warm_guarded`]: the tolerance is widened to the scale-aware
 /// [`TRACKING_TOLERANCE`] stop (a warm solve only needs to follow the drift
 /// between the anchor's world and this one, not re-polish the anchor's
 /// optimum), the problem is built under that widened configuration (read it
@@ -441,6 +423,104 @@ pub fn prepare_warm_tracking(
     Ok((problem, warm_start))
 }
 
+/// What [`solve_warm_guarded`] kept, and the work it spent.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WarmSolve {
+    /// The kept report: the warm solve, or the best of the warm, floor and
+    /// cold solves after a fallback.
+    pub report: SolveReport,
+    /// [`SolveKind::Warm`] when the warm solve reached the floor, else
+    /// [`SolveKind::WarmFallback`].
+    pub kind: SolveKind,
+    /// Whether the kept report is the cold fallback's (the serve cache lets
+    /// only such a report anchor later warm solves).
+    pub cold_won: bool,
+    /// Outer iterations on the solve path: the warm solve's, plus the cold
+    /// fallback's when it ran.
+    pub path_outer_iterations: usize,
+    /// Stage calls on the solve path, `[stage1, stage2, stage3]`, counted
+    /// like [`WarmSolve::path_outer_iterations`].
+    pub path_stage_calls: [usize; 3],
+    /// Outer iterations of the single-start floor guard.
+    pub guard_outer_iterations: usize,
+    /// Objective of the single-start floor guard.
+    pub guard_objective: f64,
+}
+
+/// The warm-serving policy of the online engine and of the `quhe-serve`
+/// near-miss path: re-solve `scenario` warm from `anchor`'s optimum, check
+/// the result against the cold single-start floor of the same world, and
+/// fall back to a cold solve when the warm solve loses to it.
+///
+/// 1. `solver` runs the warm solve from the anchor's optimum, under `spec`'s
+///    effective configuration widened to the tracking stop
+///    ([`prepare_warm_tracking`]) and without Stage-3 multi-start.
+/// 2. `solver` runs the floor guard: the [`SolveSpec::single_start`] solve
+///    of `scenario` under `spec`'s effective configuration. A warm solve that
+///    reaches it is kept ([`SolveKind::Warm`]).
+/// 3. Otherwise `fallback` solves `spec` cold, and the best of the warm,
+///    floor and cold solves is kept ([`SolveKind::WarmFallback`]).
+///
+/// Either way the kept objective is never below the floor. Both warm and
+/// guard solves run at `spec`'s instrumentation level. The fallback is the
+/// caller's: the service re-solves the request as written, the online engine
+/// re-anchors at [`anchor_config`].
+///
+/// # Errors
+/// Scenario, warm-start and solver errors of the three solves.
+pub fn solve_warm_guarded(
+    solver: &dyn Solver,
+    scenario: &SystemScenario,
+    spec: &SolveSpec,
+    anchor: &SolveReport,
+    fallback: &dyn Solver,
+) -> QuheResult<WarmSolve> {
+    let config = spec.effective_config(solver.config());
+    let (problem, warm_start) =
+        prepare_warm_tracking(&config, scenario, anchor.objective, &anchor.variables)?;
+    let warm = solver.with_config(*problem.config()).solve_prepared(
+        &problem,
+        &SolveSpec::warm_from(warm_start).with_instrumentation(spec.instrumentation()),
+    )?;
+    let floor = solver.with_config(config).solve(
+        scenario,
+        &SolveSpec::single_start().with_instrumentation(spec.instrumentation()),
+    )?;
+    let (guard_outer_iterations, guard_objective) = (floor.outer_iterations, floor.objective);
+    if warm.objective >= floor.objective {
+        return Ok(WarmSolve {
+            kind: SolveKind::Warm,
+            cold_won: false,
+            path_outer_iterations: warm.outer_iterations,
+            path_stage_calls: warm.stage_calls,
+            guard_outer_iterations,
+            guard_objective,
+            report: warm,
+        });
+    }
+    let cold = fallback.solve(scenario, spec)?;
+    let path_outer_iterations = warm.outer_iterations + cold.outer_iterations;
+    let path_stage_calls = std::array::from_fn(|i| warm.stage_calls[i] + cold.stage_calls[i]);
+    let mut report = if floor.objective > warm.objective {
+        floor
+    } else {
+        warm
+    };
+    let cold_won = cold.objective > report.objective;
+    if cold_won {
+        report = cold;
+    }
+    Ok(WarmSolve {
+        report,
+        kind: SolveKind::WarmFallback,
+        cold_won,
+        path_outer_iterations,
+        path_stage_calls,
+        guard_outer_iterations,
+        guard_objective,
+    })
+}
+
 /// Tracks a dynamic world online with any [`Solver`]: solves every step of
 /// the trace, warm-starting each re-solve from the previous step's optimum
 /// when the solver supports it.
@@ -449,24 +529,18 @@ pub fn prepare_warm_tracking(
 /// 1. **Cached** — the scenario and delay priority are unchanged: the
 ///    previous report is reused without solving, so a frozen trace costs
 ///    one cold solve total and reproduces it bit-identically.
-/// 2. **Warm** — same client count and [`Solver::supports_warm_start`]: a
-///    [`SolveSpec::warm_from`] solve runs from the previous optimum (with
-///    the delay bound re-tightened for the new world), tracking the anchor's
-///    basin without Stage-3 multi-start and stopping at the scale-aware
-///    [`TRACKING_TOLERANCE`] — one alternation pass when the world only
-///    drifted. The engine then verifies the *fallback guarantee* against the
-///    cold [`SolveSpec::single_start`] solve of the same world (the guard;
-///    its work is reported separately in the step record): a warm step is
-///    kept only if it reached at least that floor and stayed within
-///    [`REGRESSION_SLACK`] of the previous objective.
-/// 3. **Cold / fallback** — the first step and changed client counts solve
-///    cold multi-start at the tighter [`anchor_config`] (warm tracking needs
-///    a well-converged anchor). A warm solve that lost to the floor or
-///    regressed triggers the same cold re-anchor, and the best of the warm,
-///    floor and cold candidates is kept — a step therefore never reports
-///    less than the cold single-start baseline. Solvers without warm-start
-///    support solve every non-cached step (first, structural or drifted)
-///    cold at the plain [`step_config`] — they have no chain to anchor.
+/// 2. **Warm** — same client count and [`Solver::supports_warm_start`]:
+///    [`solve_warm_guarded`] re-solves the step at [`step_config`] from the
+///    previous optimum, guarded by the step's cold single-start floor (its
+///    work is reported separately in the step record). When the warm solve
+///    falls below the floor, a cold multi-start solve at [`anchor_config`]
+///    re-anchors the chain and the best of the three is kept, so a step
+///    never reports less than the cold single-start baseline.
+/// 3. **Cold** — the first step and changed client counts solve cold
+///    multi-start at the tighter [`anchor_config`] (warm tracking needs a
+///    well-converged anchor). Solvers without warm-start support solve
+///    every non-cached step cold at the plain [`step_config`] — they have
+///    no chain to anchor.
 ///
 /// # Errors
 /// * [`QuheError::InvalidConfig`] for an empty trace.
@@ -482,153 +556,60 @@ pub fn solve_online_with(solver: &dyn Solver, trace: &SystemTrace) -> QuheResult
     let mut outcomes: Vec<SolveReport> = Vec::with_capacity(trace.len());
     let mut previous: Option<&SystemStep> = None;
     for (t, step) in trace.steps().iter().enumerate() {
-        let config = step_config(&base, step);
-        // Warm-capable solvers anchor their chain with a tighter-tolerance
-        // cold solve (a warm start can only track drift from a
-        // well-converged anchor). One-shot solvers have no chain, so every
-        // cold solve — first step, structural change or drift — runs at the
-        // plain step configuration and the per-step records stay comparable.
-        let anchor = if solver.supports_warm_start() {
-            solver.with_config(anchor_config(&base, step))
-        } else {
-            solver.with_config(config)
-        };
         let wall = Instant::now();
-        // Per step: the solve kind, the kept report, the iterations and
-        // stage calls spent on the solve path, and the guard's own work.
-        let (kind, outcome, path_iterations, path_calls, guard) = match previous {
-            None => {
-                let cold = anchor.solve(&step.scenario, &SolveSpec::cold())?;
-                let (it, calls) = (cold.outer_iterations, cold.stage_calls);
-                (SolveKind::Cold, cold, it, calls, None)
-            }
-            Some(prev) => {
-                let prev_outcome = outcomes.last().expect("one outcome per solved step");
-                if step.scenario == prev.scenario
-                    && step.delay_weight_factor == prev.delay_weight_factor
+        let config = step_config(&base, step);
+        // Warm-capable solvers anchor their chain at the tighter tolerance;
+        // one-shot solvers have no chain and solve at the step config.
+        let cold = solver.with_config(if solver.supports_warm_start() {
+            anchor_config(&base, step)
+        } else {
+            config
+        });
+        // Per step: the solve kind, the kept report, the outer iterations
+        // and stage calls of the solve path, and the guard's iterations and
+        // objective.
+        let (kind, report, (outer_iterations, stage_calls), guard) =
+            match previous.zip(outcomes.last()) {
+                Some((prev, kept))
+                    if step.scenario == prev.scenario
+                        && step.delay_weight_factor == prev.delay_weight_factor =>
                 {
-                    let reused = prev_outcome.clone();
-                    records.push(OnlineStepRecord {
-                        step: t,
-                        kind: SolveKind::Cached,
-                        objective: reused.objective,
-                        outer_iterations: 0,
-                        stage_calls: [0; 3],
-                        guard_outer_iterations: 0,
-                        guard_runtime_s: 0.0,
-                        guard_objective: None,
-                        runtime_s: wall.elapsed().as_secs_f64(),
-                        converged: reused.converged,
-                        num_clients: step.scenario.num_clients(),
-                        event_kinds: step.event_kinds.clone(),
-                    });
-                    outcomes.push(reused);
-                    previous = Some(step);
-                    continue;
+                    (SolveKind::Cached, kept.clone(), (0, [0; 3]), None)
                 }
-                if step.is_structural_change_from(prev) {
-                    let cold = anchor.solve(&step.scenario, &SolveSpec::cold())?;
-                    let (it, calls) = (cold.outer_iterations, cold.stage_calls);
-                    (SolveKind::Cold, cold, it, calls, None)
-                } else if !solver.supports_warm_start() {
-                    // One-shot solvers have no chain to track: re-solve the
-                    // drifted world cold. For them `anchor` already holds the
-                    // plain step configuration (see above), so this branch is
-                    // the same cold solve as the structural-change one.
-                    let cold = anchor.solve(&step.scenario, &SolveSpec::cold())?;
-                    let (it, calls) = (cold.outer_iterations, cold.stage_calls);
-                    (SolveKind::Cold, cold, it, calls, None)
-                } else {
-                    // Warm tracking with the scale-aware stop: the warm
-                    // solve needs exactly one alternation pass when the
-                    // world only drifted.
-                    let (problem, warm_start) = prepare_warm_tracking(
-                        &config,
+                Some((prev, kept))
+                    if solver.supports_warm_start() && !step.is_structural_change_from(prev) =>
+                {
+                    let warm = solve_warm_guarded(
+                        &*solver.with_config(config),
                         &step.scenario,
-                        prev_outcome.objective,
-                        &prev_outcome.variables,
+                        &SolveSpec::cold(),
+                        kept,
+                        &*cold,
                     )?;
-                    let warm_config = *problem.config();
-                    // The regression reference is the previous solution
-                    // re-evaluated in *this* step's world and weights —
-                    // comparing against the previous step's objective
-                    // directly would mistake a pure weight change (e.g. a
-                    // deadline-tighten event raising the delay weight) for
-                    // a solver regression.
-                    let carried_objective = problem.objective_with_max_delay(&warm_start)?;
-                    let warm = solver
-                        .with_config(warm_config)
-                        .solve_prepared(&problem, &SolveSpec::warm_from(warm_start))?;
-                    // Floor guard: the engine itself checks the fallback
-                    // guarantee against the cold single-start solve of
-                    // this exact world and configuration. The guard is
-                    // independent of the warm solve, so its wall-clock is
-                    // recorded separately — it can run on an idle core.
-                    let guard_wall = Instant::now();
-                    let floor = solver
-                        .with_config(config)
-                        .solve(&step.scenario, &SolveSpec::single_start())?;
-                    let guard = Some((
-                        floor.outer_iterations,
-                        guard_wall.elapsed().as_secs_f64(),
-                        floor.objective,
-                    ));
-                    let slack = REGRESSION_SLACK * (1.0 + carried_objective.abs());
-                    if warm.objective >= floor.objective
-                        && warm.objective >= carried_objective - slack
-                    {
-                        let (it, calls) = (warm.outer_iterations, warm.stage_calls);
-                        (SolveKind::Warm, warm, it, calls, guard)
-                    } else {
-                        // The floor found a better basin, or the warm
-                        // chain regressed. Adopt the better of the two
-                        // candidates — and when even that regressed
-                        // beyond the slack, pay for a full cold
-                        // multi-start re-anchor. Either way the kept
-                        // objective is never below the single-start
-                        // floor.
-                        let mut path_iterations = warm.outer_iterations;
-                        let mut path_calls = warm.stage_calls;
-                        let mut kept = warm;
-                        if floor.objective > kept.objective {
-                            kept = floor;
-                        }
-                        if kept.objective < carried_objective - slack {
-                            let cold = anchor.solve(&step.scenario, &SolveSpec::cold())?;
-                            path_iterations += cold.outer_iterations;
-                            for (total, calls) in path_calls.iter_mut().zip(cold.stage_calls) {
-                                *total += calls;
-                            }
-                            if cold.objective > kept.objective {
-                                kept = cold;
-                            }
-                        }
-                        (
-                            SolveKind::WarmFallback,
-                            kept,
-                            path_iterations,
-                            path_calls,
-                            guard,
-                        )
-                    }
+                    let path = (warm.path_outer_iterations, warm.path_stage_calls);
+                    let guard = (warm.guard_outer_iterations, warm.guard_objective);
+                    (warm.kind, warm.report, path, Some(guard))
                 }
-            }
-        };
+                _ => {
+                    let report = cold.solve(&step.scenario, &SolveSpec::cold())?;
+                    let path = (report.outer_iterations, report.stage_calls);
+                    (SolveKind::Cold, report, path, None)
+                }
+            };
         records.push(OnlineStepRecord {
             step: t,
             kind,
-            objective: outcome.objective,
-            outer_iterations: path_iterations,
-            stage_calls: path_calls,
-            guard_outer_iterations: guard.map_or(0, |(it, _, _)| it),
-            guard_runtime_s: guard.map_or(0.0, |(_, wall, _)| wall),
-            guard_objective: guard.map(|(_, _, objective)| objective),
+            objective: report.objective,
+            outer_iterations,
+            stage_calls,
+            guard_outer_iterations: guard.map_or(0, |(iterations, _)| iterations),
+            guard_objective: guard.map(|(_, objective)| objective),
             runtime_s: wall.elapsed().as_secs_f64(),
-            converged: outcome.converged,
+            converged: report.converged,
             num_clients: step.scenario.num_clients(),
             event_kinds: step.event_kinds.clone(),
         });
-        outcomes.push(outcome);
+        outcomes.push(report);
         previous = Some(step);
     }
     Ok(OnlineOutcome { records, outcomes })

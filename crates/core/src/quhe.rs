@@ -17,6 +17,7 @@ use crate::solver::{InstrumentationLevel, SolveReport, SolveSpec, StartMode};
 use crate::stage1::Stage1Solver;
 use crate::stage2::Stage2Solver;
 use crate::stage3::Stage3Solver;
+use crate::variables::DecisionVariables;
 
 /// Per-outer-iteration record of the alternating optimization.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -41,8 +42,10 @@ pub struct OuterIterationRecord {
 /// * [`QuheError::InvalidConfig`] for an invalid configuration.
 /// * [`QuheError::DimensionMismatch`] when a [`StartMode::WarmFrom`] start
 ///   does not match the problem's client and link counts.
-/// * [`QuheError::ConstraintViolation`] when a warm start leaves a client
-///   with a non-finite Stage-2 gain or delay at some degree.
+/// * [`QuheError::ConstraintViolation`] when a warm start's degree lies
+///   outside the choice set (17d), a resource entry is not positive and
+///   finite (17e)–(17h), or the start leaves a client with a non-finite
+///   Stage-2 gain or delay at some degree.
 /// * Substrate and stage-solver errors.
 pub(crate) fn alternate(
     config: &QuheConfig,
@@ -63,8 +66,10 @@ pub(crate) fn alternate(
         StartMode::Cold | StartMode::SingleStart => problem.initial_point()?,
         StartMode::WarmFrom(start) => {
             // A start is untrusted input on the serve path: the cost
-            // evaluators index it per client and per link.
+            // evaluators index it per client and per link, and evaluate the
+            // start before any stage replaces a block.
             start.check_dimensions(problem.num_clients(), problem.scenario().num_links())?;
+            check_warm_domain(problem, start)?;
             start.clone()
         }
     };
@@ -157,12 +162,54 @@ pub(crate) fn alternate(
     })
 }
 
+/// Rejects a warm start outside the cost models' domain: a degree outside
+/// the scenario's choice set (17d), or a power, bandwidth or frequency that
+/// is not positive and finite (17e)–(17h). Values above a budget stay
+/// admissible, because Stage 3 projects them back; `phi`, `w` and the delay
+/// bound are recomputed before use.
+fn check_warm_domain(problem: &Problem, start: &DecisionVariables) -> QuheResult<()> {
+    let choices = problem.scenario().lambda_choices();
+    if let Some((n, lambda)) = start
+        .lambda
+        .iter()
+        .enumerate()
+        .find(|(_, lambda)| !choices.contains(lambda))
+    {
+        return Err(QuheError::ConstraintViolation {
+            reason: format!(
+                "17d: warm start lambda of client {} is {lambda}, not in the choice set",
+                n + 1
+            ),
+        });
+    }
+    for (constraint, field, values) in [
+        ("17e", "power", &start.power),
+        ("17f", "bandwidth", &start.bandwidth),
+        ("17g", "client_frequency", &start.client_frequency),
+        ("17h", "server_frequency", &start.server_frequency),
+    ] {
+        if let Some((n, value)) = values
+            .iter()
+            .enumerate()
+            .find(|(_, value)| !(**value > 0.0 && value.is_finite()))
+        {
+            return Err(QuheError::ConstraintViolation {
+                reason: format!(
+                    "{constraint}: warm start {field} of client {} is {value}, \
+                     not positive and finite",
+                    n + 1
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::SystemScenario;
     use crate::solver::{AaSolver, QuheSolver, Solver};
-    use crate::variables::DecisionVariables;
 
     fn scenario() -> SystemScenario {
         SystemScenario::paper_default(1)
@@ -348,6 +395,39 @@ mod tests {
         ] {
             let report = drifted(edit).unwrap();
             assert!(report.objective.is_finite());
+        }
+    }
+
+    #[test]
+    fn a_warm_start_outside_the_cost_models_domain_is_a_constraint_violation() {
+        let scenario = SystemScenario::paper_default(11);
+        let solver = quhe(QuheConfig::default());
+        let cold = solver.solve(&scenario, &SolveSpec::cold()).unwrap();
+        for (edit, needle) in [
+            (
+                (|v| v.lambda[0] = 7) as fn(&mut DecisionVariables),
+                "17d: warm start lambda of client 1 is 7",
+            ),
+            (
+                |v| v.lambda[0] = 65537,
+                "17d: warm start lambda of client 1 is 65537",
+            ),
+            (
+                |v| v.power[0] = f64::NAN,
+                "17e: warm start power of client 1",
+            ),
+            (
+                |v| v.bandwidth[0] = 0.0,
+                "17f: warm start bandwidth of client 1",
+            ),
+        ] {
+            let mut start = cold.variables.clone();
+            edit(&mut start);
+            let err = solver
+                .solve(&scenario, &SolveSpec::warm_from(start))
+                .unwrap_err();
+            assert_eq!(err.kind(), "constraint_violation", "{err}");
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
         }
     }
 }

@@ -399,9 +399,8 @@ pub struct SolveReport {
     /// Serving-layer bookkeeping — cache lookups, fingerprinting, warm-start
     /// floor guards — must never be added to it: a cached report travels
     /// with the wall time of the solve that *produced* it, and the serve
-    /// layer reports its own wall clock separately
-    /// (`service_wall_s` in `quhe-serve`), exactly as the online engine
-    /// keeps its guard wall in `OnlineStepRecord::guard_runtime_s`.
+    /// layer reports its own wall clock separately (`service_wall_s` in
+    /// `quhe-serve`).
     pub runtime_s: f64,
 }
 

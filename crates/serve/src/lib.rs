@@ -20,9 +20,10 @@
 //! * a **shape** hit — the same world modulo drifted channel/load fields —
 //!   warm-starts the solve from the optimum of the *nearest* cached anchor
 //!   (ranked by the pinned drift distance over exactly the drifted fields;
-//!   see [`cache`]), guarded by the cold single-start floor exactly like
-//!   the online engine's per-step fallback guarantee, with a cold re-solve
-//!   when the warm solve regresses;
+//!   see [`cache`]), guarded by the cold single-start floor, with a cold
+//!   re-solve when the warm solve falls below it — the one warm-serving
+//!   policy, [`quhe_core::online::solve_warm_guarded`], which the online
+//!   engine runs per step;
 //! * everything else solves cold and populates the cache.
 //!
 //! The cache keeps consistent telemetry ([`CacheStats`]) surfaced through

@@ -27,11 +27,20 @@ use quhe_core::json::JsonValue;
 use quhe_core::solver::SolveSpec;
 
 /// Upper bound on `num_clients` an inline request may ask for. Requests are
-/// untrusted input: without a ceiling, one request could demand a
-/// billion-client scenario and take the whole service down allocating it.
-/// The bound is far above every catalogue world (the largest is 32
-/// clients) while keeping the worst-case request solvable.
-pub const MAX_INLINE_CLIENTS: usize = 4096;
+/// untrusted input, and a cold solve's cost grows roughly cubically with the
+/// client count: on a 2-vCPU x86_64 host, cold inline solves at the default
+/// configuration took at most 0.47 s at 20 clients, 1.55 s at 24 and 3.68 s
+/// at 32. The bound is the largest measured size that fits a 1 s budget;
+/// the catalogue worlds (up to 32 clients) are not limited by it.
+pub const MAX_INLINE_CLIENTS: usize = 20;
+
+/// Upper bound on the resolved client count of a request with
+/// `"instrumentation": "full"`. Full instrumentation adds the Fig. 4(d)
+/// interior-point polish of Stage 3, which dominates the solve: on a 2-vCPU
+/// x86_64 host, full inline solves took at most 0.51 s at 8 clients and
+/// 1.04 s at 10, and a full `dense_cell` solve (32 clients) about 45 s.
+/// Checked once the scenario is resolved, so it covers every scenario shape.
+pub const MAX_FULL_INSTRUMENTATION_CLIENTS: usize = 8;
 
 /// Upper bound on `drift_step`. Resolving a drifted world replays that many
 /// deterministic drift steps, so an unbounded value would be a CPU
@@ -61,7 +70,7 @@ pub enum ScenarioSpec {
     },
     /// A catalogue world observed after `step` steps of the serve layer's
     /// fixed drift model (±1 % per-step channel and key-rate drift, no
-    /// discrete events — the `online_eval` drift regime):
+    /// discrete events):
     /// `{"catalog": "paper_default", "seed": 42, "drift_step": 3}`.
     ///
     /// The drifted world keeps the catalogue world's *shape* (same clients,
@@ -473,7 +482,11 @@ mod tests {
             (
                 "{\"scenario\": {\"inline\": {\"num_clients\": 18446744073709551615, \
                  \"seed\": 1}}}",
-                "exceeds the service limit of 4096",
+                "exceeds the service limit of 20",
+            ),
+            (
+                "{\"scenario\": {\"inline\": {\"num_clients\": 21, \"seed\": 1}}}",
+                "inline num_clients 21 exceeds the service limit of 20",
             ),
             (
                 "{\"scenario\": {\"catalog\": \"x\", \"seed\": 1, \"drift_step\": 100000}}",

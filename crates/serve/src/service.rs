@@ -13,16 +13,16 @@
 //! 2. **Warm near miss** — no exact hit, but a cached *anchor* (a cold
 //!    multi-start solve) shares the scenario's shape fingerprint: the
 //!    nearest such anchor by the pinned drift distance (see
-//!    [`crate::cache`]) donates its optimum, and the
-//!    request is solved [`SolveSpec::warm_from`] the anchor's optimum at the
-//!    online engine's scale-aware tracking tolerance, then checked against
-//!    the cold single-start floor of this exact scenario (the same fallback
-//!    guarantee [`quhe_core::online::solve_online_with`] enforces per step).
-//!    A warm solve that reaches the floor is returned as
-//!    [`CacheOutcome::Warm`]; one that regresses triggers a full cold
-//!    re-solve and the best of the three candidates is returned as
-//!    [`CacheOutcome::WarmFallback`] — a response therefore never reports an
-//!    objective below the single-start cold floor.
+//!    [`crate::cache`]) donates its optimum, and the request is served by
+//!    [`solve_warm_guarded`], the warm-serving policy the online engine
+//!    runs per step: a warm solve from the anchor's optimum at the
+//!    scale-aware tracking tolerance, checked against the cold single-start
+//!    floor of this exact scenario. A warm solve that reaches the floor is
+//!    returned as [`CacheOutcome::Warm`]; one that falls below it triggers a
+//!    cold re-solve of the request as written, and the best of the three
+//!    candidates is returned as [`CacheOutcome::WarmFallback`] — a response
+//!    therefore never reports an objective below the single-start cold
+//!    floor.
 //! 3. **Cold** — no reusable state: the request is solved as specified and
 //!    cached for future requests.
 //!
@@ -38,23 +38,24 @@ use parking_lot::Mutex;
 use quhe_core::error::{QuheError, QuheResult};
 use quhe_core::fingerprint::Fingerprint;
 use quhe_core::json::JsonValue;
-use quhe_core::online::{prepare_warm_tracking, OnlineTraceConfig, SystemTrace};
+use quhe_core::online::{solve_warm_guarded, OnlineTraceConfig, SolveKind, SystemTrace};
 use quhe_core::params::QuheConfig;
 use quhe_core::registry::ScenarioCatalog;
 use quhe_core::scenario::SystemScenario;
-use quhe_core::solver::{SolveReport, SolveSpec, Solver, SolverRegistry, StartMode};
+use quhe_core::solver::{InstrumentationLevel, SolveReport, SolveSpec, SolverRegistry, StartMode};
 use quhe_mec::scenario::MecScenario;
 use quhe_qkd::topology::synthetic_scenario;
 
 use crate::cache::{CacheEntry, CacheStats, ScenarioCache};
 use crate::coalesce::{FlightKey, FlightResult, Join, Singleflight};
-use crate::request::{InlineScenario, ScenarioSpec, SolveRequest};
+use crate::request::{
+    InlineScenario, ScenarioSpec, SolveRequest, MAX_FULL_INSTRUMENTATION_CLIENTS,
+};
 use crate::wire;
 
 /// Per-step relative drift amplitude of the serve protocol's fixed drift
 /// model (applied to both MEC channel gains and QKD key rates by
-/// [`ScenarioSpec::Drifted`] resolution) — the gentle ±1 % regime of
-/// `online_eval`.
+/// [`ScenarioSpec::Drifted`] resolution) — a gentle ±1 % per step.
 pub const DRIFT_AMPLITUDE: f64 = 0.01;
 
 /// Default number of cached reports ([`ServiceConfig::with_cache_capacity`]
@@ -74,8 +75,8 @@ pub enum CacheOutcome {
     /// Warm near miss: solved from a same-shape anchor's optimum and kept
     /// (met the single-start cold floor).
     Warm,
-    /// Warm near miss that regressed: the best of the warm, floor and cold
-    /// candidates.
+    /// Warm near miss that fell below the floor: the best of the warm,
+    /// floor and cold candidates.
     WarmFallback,
     /// Solved from scratch as requested.
     Cold,
@@ -275,7 +276,8 @@ pub struct ServiceStats {
     pub exact_hits: usize,
     /// Requests answered by an accepted warm solve.
     pub warm_hits: usize,
-    /// Requests where the warm solve regressed and a fallback ran.
+    /// Requests where the warm solve fell below the floor and a fallback
+    /// ran.
     pub warm_fallbacks: usize,
     /// Requests solved from scratch.
     pub cold_solves: usize,
@@ -598,9 +600,21 @@ impl SolveService {
         spec: &SolveSpec,
         wall: Instant,
     ) -> QuheResult<SolveResponse> {
-        // Resolve the solver name before anything else so an unknown name
-        // fails fast without touching the flight table.
+        // Resolve the solver name and bound the solve's work before anything
+        // else, so a rejected request fails fast without touching the cache
+        // or the flight table.
         self.registry.resolve(solver_name)?;
+        if spec.instrumentation() == InstrumentationLevel::Full
+            && scenario.num_clients() > MAX_FULL_INSTRUMENTATION_CLIENTS
+        {
+            return Err(QuheError::InvalidConfig {
+                reason: format!(
+                    "instrumentation 'full' is limited to {MAX_FULL_INSTRUMENTATION_CLIENTS} \
+                     clients, the scenario has {}",
+                    scenario.num_clients()
+                ),
+            });
+        }
         let fingerprint = scenario.fingerprint();
         let spec_key = spec.to_json_value().to_compact_string();
 
@@ -716,11 +730,14 @@ impl SolveService {
                 .cache
                 .lookup_anchor(shape_fingerprint, solver_name, scenario)
             {
-                let (outcome, report, is_anchor, path_iters, guard_iters) =
-                    self.solve_warm(solver, scenario, spec, &anchor)?;
-                match outcome {
-                    CacheOutcome::Warm => self.count(|c| c.warm_hits += 1),
-                    _ => self.count(|c| c.warm_fallbacks += 1),
+                // The request's own cold solve is the fallback.
+                let warm = solve_warm_guarded(solver, scenario, spec, &anchor.report, solver)?;
+                let outcome = if warm.kind == SolveKind::Warm {
+                    self.count(|c| c.warm_hits += 1);
+                    CacheOutcome::Warm
+                } else {
+                    self.count(|c| c.warm_fallbacks += 1);
+                    CacheOutcome::WarmFallback
                 };
                 // Cache for exact reuse. Warm-path results anchor future
                 // warm chains only when the kept report actually came from
@@ -733,10 +750,15 @@ impl SolveService {
                     shape: shape_fingerprint,
                     solver: solver_name.to_string(),
                     spec_key,
-                    report: report.clone(),
-                    anchor: is_anchor && spec.multi_start(),
+                    report: warm.report.clone(),
+                    anchor: warm.cold_won && spec.multi_start(),
                 });
-                return Ok(respond(outcome, report, path_iters, guard_iters));
+                return Ok(respond(
+                    outcome,
+                    warm.report,
+                    warm.path_outer_iterations,
+                    warm.guard_outer_iterations,
+                ));
             }
         }
 
@@ -755,69 +777,6 @@ impl SolveService {
         });
         let path_iters = report.outer_iterations;
         Ok(respond(CacheOutcome::Cold, report, path_iters, 0))
-    }
-
-    /// The warm near-miss path: warm solve at the tracking tolerance,
-    /// single-start floor guard, cold fallback on regression. Mirrors the
-    /// per-step logic of [`quhe_core::online::solve_online_with`]. Returns,
-    /// alongside the outcome and kept report: whether the kept report is a
-    /// from-scratch cold multi-start solve (eligible to anchor future warm
-    /// chains), the outer iterations spent on the solve path (warm plus any
-    /// fallback), and the floor guard's own iterations.
-    fn solve_warm(
-        &self,
-        solver: &dyn Solver,
-        scenario: &SystemScenario,
-        spec: &SolveSpec,
-        anchor: &CacheEntry,
-    ) -> QuheResult<(CacheOutcome, SolveReport, bool, usize, usize)> {
-        let config = spec.effective_config(solver.config());
-        // One shared definition of warm-start semantics with the online
-        // engine: scale-aware tracking tolerance, problem built under it,
-        // delay bound re-tightened for this scenario.
-        let (problem, warm_start) = prepare_warm_tracking(
-            &config,
-            scenario,
-            anchor.report.objective,
-            &anchor.report.variables,
-        )?;
-        let warm = solver.with_config(*problem.config()).solve_prepared(
-            &problem,
-            &SolveSpec::warm_from(warm_start).with_instrumentation(spec.instrumentation()),
-        )?;
-
-        // Floor guard: the cold single-start solve of this exact scenario
-        // and configuration — the response must never fall below it.
-        let floor = solver.with_config(config).solve(
-            scenario,
-            &SolveSpec::single_start().with_instrumentation(spec.instrumentation()),
-        )?;
-
-        let guard_iters = floor.outer_iterations;
-        if warm.objective >= floor.objective {
-            let path_iters = warm.outer_iterations;
-            return Ok((CacheOutcome::Warm, warm, false, path_iters, guard_iters));
-        }
-        // The warm solve lost its basin: pay for the requested cold solve
-        // and keep the best of the three candidates. The path bill covers
-        // both solves, as in the online engine's fallback accounting.
-        let cold = solver.solve(scenario, spec)?;
-        let path_iters = warm.outer_iterations + cold.outer_iterations;
-        let mut kept = warm;
-        if floor.objective > kept.objective {
-            kept = floor;
-        }
-        let cold_won = cold.objective > kept.objective;
-        if cold_won {
-            kept = cold;
-        }
-        Ok((
-            CacheOutcome::WarmFallback,
-            kept,
-            cold_won,
-            path_iters,
-            guard_iters,
-        ))
     }
 
     /// Handles a JSON request string, returning a JSON response string —
@@ -1103,6 +1062,42 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    #[test]
+    fn full_instrumentation_is_limited_by_the_resolved_client_count() {
+        let service = quick_service();
+        let spec = SolveSpec::cold()
+            .with_instrumentation(InstrumentationLevel::Full)
+            .to_json_value()
+            .to_compact_string();
+        let full = |scenario: &str| {
+            let text = service.handle_json(&format!(
+                "{{\"proto\": \"quhe-serve/v2\", \"scenario\": {scenario}, \"spec\": {spec}}}"
+            ));
+            JsonValue::parse(&text).unwrap()
+        };
+        let rejected = full("{\"inline\": {\"num_clients\": 9, \"seed\": 1}}");
+        assert_eq!(rejected.get("ok").and_then(JsonValue::as_bool), Some(false));
+        let error = rejected.get("error").unwrap();
+        assert_eq!(
+            error.get("kind").and_then(JsonValue::as_str),
+            Some("invalid_request")
+        );
+        let message = error.get("message").and_then(JsonValue::as_str).unwrap();
+        assert!(
+            message.contains(&format!(
+                "limited to {MAX_FULL_INSTRUMENTATION_CLIENTS} clients"
+            )),
+            "{message}"
+        );
+        let served = full("{\"catalog\": \"paper_default\", \"seed\": 1}");
+        assert_eq!(
+            served.get("ok").and_then(JsonValue::as_bool),
+            Some(true),
+            "{served:?}"
+        );
+        assert_eq!(service.stats().total(), 1);
     }
 
     #[test]
