@@ -5,9 +5,10 @@
 //! a panic in a worker or connection thread silently removes capacity, and
 //! every recoverable failure already has a structured `QuheError` kind with
 //! a wire tag. Sites that are genuinely unreachable-or-corrupt (documented
-//! startup panics, intrusive-LRU internal invariants) are exempted through
-//! `[[allow.panic]]` entries in `analyze.toml` — each entry names the file,
-//! a substring of the offending line, and a non-empty justification.
+//! startup panics, constructors fed compile-time constants) are exempted
+//! through `[[allow.panic]]` entries in `analyze.toml` — each entry names
+//! the file, a substring of the offending line, and a non-empty
+//! justification.
 //!
 //! The *transitive* half extends the guarantee past the configured paths:
 //! serve entry points listed under `[panics] roots` are walked through the

@@ -12,26 +12,20 @@
 //! | `fig5_comparison` | Fig. 5(a)–(d): stage calls/runtime, Stage-1 methods, whole-procedure comparison |
 //! | `tables_5_6` | Tables V and VI: per-method `phi` and `w` values |
 //! | `fig6_sweeps` | Fig. 6(a)–(d): objective vs. resource budgets |
-//! | `batch_eval` | `BENCH_batch.json`: scenario-catalogue grid, serial vs parallel |
 //!
 //! Serving and solver performance — latency, throughput, per-stage and
 //! per-kernel timings, and the warm-serving policy the online engine shares
 //! with the service — is measured by the repository benchmark in
-//! `perfbench/`, not here. `batch_eval` stays because it measures what
-//! perfbench never runs: `Solver::solve_batch`.
+//! `perfbench/`, not here.
 //!
 //! Every binary accepts the environment variables `QUHE_SEED` (default 42)
 //! and, where relevant, `QUHE_SAMPLES` / `QUHE_POINTS`, so that quick smoke
 //! runs and full paper-scale runs use the same code path. Every solving
-//! binary routes through the unified [`Solver`] surface: the solver under
-//! test is looked up in [`SolverRegistry`] (select it with `--solver NAME`
-//! or `QUHE_SOLVER`, default `quhe`) and all JSON artifacts flow through the
-//! shared [`report`] writer.
+//! binary routes through the unified [`Solver`] surface, drawing its solvers
+//! from [`SolverRegistry`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod report;
 
 use quhe_core::prelude::*;
 
@@ -71,27 +65,6 @@ pub fn experiment_config() -> QuheConfig {
 /// every experiment binary draws from.
 pub fn solver_registry() -> SolverRegistry {
     SolverRegistry::builtin_with(experiment_config())
-}
-
-/// The solver name selected for this run: the value after a `--solver` flag,
-/// else `QUHE_SOLVER`, else `"quhe"`.
-pub fn selected_solver_name(args: &[String]) -> String {
-    args.iter()
-        .position(|a| a == "--solver")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .or_else(|| std::env::var("QUHE_SOLVER").ok())
-        .unwrap_or_else(|| "quhe".to_string())
-}
-
-/// The output path of a report-emitting binary: the first free argument —
-/// skipping flags and the value consumed by `--solver` — or `default`.
-pub fn output_path(args: &[String], default: &str) -> String {
-    args.iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && (*i == 0 || args[*i - 1] != "--solver"))
-        .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| default.to_string())
 }
 
 /// The human-facing label of a built-in solver name (the paper's method
@@ -160,19 +133,7 @@ mod tests {
     }
 
     #[test]
-    fn solver_selection_prefers_the_flag_and_defaults_to_quhe() {
-        let args: Vec<String> = ["--quick", "--solver", "olaa"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        assert_eq!(selected_solver_name(&args), "olaa");
-        assert_eq!(selected_solver_name(&[]), "quhe");
-        assert_eq!(output_path(&args, "out.json"), "out.json");
-        let args: Vec<String> = ["--solver", "occr", "custom.json", "--quick"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        assert_eq!(output_path(&args, "out.json"), "custom.json");
+    fn the_registry_holds_the_four_paper_methods_with_their_labels() {
         assert_eq!(
             solver_registry().names(),
             vec!["quhe", "aa", "olaa", "occr"]

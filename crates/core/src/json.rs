@@ -5,8 +5,8 @@
 //! working substitute: a [`JsonValue`] tree with a deterministic pretty
 //! writer (stable key order — objects are ordered vectors, not maps) and a
 //! strict recursive-descent parser. [`crate::solver::SolveReport`] round-trips
-//! through it, and the `quhe-bench` report writer emits the `BENCH_batch.json`
-//! artifact with it.
+//! through it, and the serve protocol and its cache snapshots are written
+//! and read with it.
 //!
 //! Numbers are stored as their JSON token text ([`JsonValue::Number`] wraps a
 //! `String`), so integer exactness and `f64` shortest-round-trip formatting

@@ -60,7 +60,6 @@ pub(crate) fn alternate(
         .with_threads(config.solver_threads)
         .with_start_budget(spec.multi_start_budget())
         .with_start_pruning(spec.start_pruning());
-    let with_gap_trace = spec.instrumentation() == InstrumentationLevel::Full;
 
     let mut vars = match spec.start() {
         StartMode::Cold | StartMode::SingleStart => problem.initial_point()?,
@@ -114,7 +113,7 @@ pub(crate) fn alternate(
         // entirely and rides the carried start's basin.
         let surface_is_new = explored_lambdas.insert(vars.lambda.clone());
         let multi_start = spec.multi_start() && surface_is_new;
-        let stage3 = stage3_solver.run(problem, &vars, with_gap_trace, multi_start)?;
+        let stage3 = stage3_solver.run(problem, &vars, multi_start)?;
         stage_calls[2] += 1;
         vars.power = stage3.power.clone();
         vars.bandwidth = stage3.bandwidth.clone();
@@ -139,11 +138,17 @@ pub(crate) fn alternate(
 
     // `validate()` rejects a zero iteration budget, so the loop above ran
     // at least once; a structured error beats asserting that here.
-    let (Some(stage2), Some(stage3)) = (last_stage2, last_stage3) else {
+    let (Some(stage2), Some(mut stage3)) = (last_stage2, last_stage3) else {
         return Err(QuheError::InvalidConfig {
             reason: "max_outer_iterations must be at least 1".to_string(),
         });
     };
+    // The Fig. 4(d) polish reads only `lambda` and the resources, which the
+    // last Stage-3 call left in `vars`: one polish of the final allocation is
+    // the trace of that call.
+    if spec.instrumentation() == InstrumentationLevel::Full {
+        stage3.gap_trace = Stage3Solver::gap_trace(problem, &vars)?;
+    }
     let metrics = MethodMetrics::evaluate(problem, &vars)?;
     Ok(SolveReport {
         solver: "quhe".to_string(),
@@ -262,6 +267,25 @@ mod tests {
             quhe.objective,
             aa.objective
         );
+    }
+
+    #[test]
+    fn the_full_gap_trace_is_the_polish_of_the_final_allocation() {
+        let config = QuheConfig::default();
+        let spec = SolveSpec::cold().with_instrumentation(InstrumentationLevel::Full);
+        let far_edge = crate::registry::ScenarioCatalog::builtin()
+            .generate("far_edge", 8)
+            .unwrap();
+        for scenario in [scenario(), far_edge] {
+            let report = quhe(config).solve(&scenario, &spec).unwrap();
+            assert!(report.outer_iterations >= 2, "{}", report.outer_iterations);
+            let problem = Problem::new(scenario, config).unwrap();
+            let polish = Stage3Solver::gap_trace(&problem, &report.variables).unwrap();
+            let trace = &report.stage3.as_ref().unwrap().gap_trace;
+            assert!(!trace.is_empty());
+            let bits = |trace: &[f64]| trace.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(trace), bits(&polish));
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   variables, metric bundle, outer-iteration trace, per-stage telemetry,
 //!   wall clock, and an echo of the solver name and spec. It serializes to
 //!   and from JSON through [`crate::json`] (the offline build's working
-//!   substitute for serde), which is what the `quhe-bench` report writer
-//!   emits.
+//!   substitute for serde), which is what the solve service sends and
+//!   caches.
 //!
 //! The registry ships four built-ins — `quhe`, `aa`, `olaa`, `occr` — and
 //! custom solvers plug in through [`SolverRegistry::register`] (see
@@ -753,21 +753,19 @@ impl Solver for OccrSolver {
         // OCCR runs a real Stage-3 descent, so unlike the one-shot baselines
         // it honours the spec's multi-start switch (single-start rides the
         // AA point's basin) and the full-instrumentation gap trace.
-        let stage3 = Stage3Solver::new(config.max_stage3_iterations, config.tolerance * 1e-2)
+        let mut stage3 = Stage3Solver::new(config.max_stage3_iterations, config.tolerance * 1e-2)
             .with_threads(config.solver_threads)
             .with_start_budget(spec.multi_start_budget())
             .with_start_pruning(spec.start_pruning())
-            .run(
-                &problem,
-                &vars,
-                spec.instrumentation() == InstrumentationLevel::Full,
-                spec.multi_start(),
-            )?;
+            .run(&problem, &vars, spec.multi_start())?;
         vars.power = stage3.power.clone();
         vars.bandwidth = stage3.bandwidth.clone();
         vars.client_frequency = stage3.client_frequency.clone();
         vars.server_frequency = stage3.server_frequency.clone();
         vars.delay_bound = stage3.delay_bound;
+        if spec.instrumentation() == InstrumentationLevel::Full {
+            stage3.gap_trace = Stage3Solver::gap_trace(&problem, &vars)?;
+        }
         let metrics = MethodMetrics::evaluate(&problem, &vars)?;
         // Unlike the one-shot baselines, OCCR runs an iterative descent: its
         // convergence verdict is Stage 3's, not an unconditional `true`.
@@ -1356,6 +1354,80 @@ mod tests {
             let (p, s) = (p.as_ref().unwrap(), s.as_ref().unwrap());
             assert_eq!(p.objective, s.objective);
             assert_eq!(p.variables, s.variables);
+        }
+    }
+
+    #[test]
+    fn solve_batch_runs_solves_concurrently_on_its_worker_threads() {
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+
+        /// Counts its solves in flight and records the maximum; each solve
+        /// waits until two have been in flight at once, or the deadline
+        /// passes, then returns AA's report.
+        struct Rendezvous {
+            aa: AaSolver,
+            deadline: Duration,
+            // (in flight, maximum in flight)
+            state: Mutex<(usize, usize)>,
+            changed: Condvar,
+        }
+        impl Solver for Rendezvous {
+            fn name(&self) -> &str {
+                "rendezvous"
+            }
+            fn description(&self) -> &str {
+                "AA, once two solves have been in flight at the same time"
+            }
+            fn config(&self) -> &QuheConfig {
+                self.aa.config()
+            }
+            fn with_config(&self, config: QuheConfig) -> Box<dyn Solver> {
+                self.aa.with_config(config)
+            }
+            fn solve(
+                &self,
+                scenario: &SystemScenario,
+                spec: &SolveSpec,
+            ) -> QuheResult<SolveReport> {
+                let mut state = self.state.lock().unwrap();
+                state.0 += 1;
+                state.1 = state.1.max(state.0);
+                self.changed.notify_all();
+                let (state, _) = self
+                    .changed
+                    .wait_timeout_while(state, self.deadline, |state| state.1 < 2)
+                    .unwrap();
+                drop(state);
+                let report = self.aa.solve(scenario, spec);
+                self.state.lock().unwrap().0 -= 1;
+                report
+            }
+        }
+
+        let scenarios: Vec<SystemScenario> = (1..=4).map(SystemScenario::paper_default).collect();
+        // Two workers meet at once; if `solve_batch` ran the solves one by
+        // one, every solve would wait out the long deadline and the test
+        // would fail on the maximum instead of hanging. One worker never
+        // has company, so its case waits out a short deadline per solve.
+        for (threads, deadline, expected) in [
+            (2, Duration::from_secs(10), 2),
+            (1, Duration::from_millis(20), 1),
+        ] {
+            let solver = Rendezvous {
+                aa: AaSolver::new(quick_config()),
+                deadline,
+                state: Mutex::new((0, 0)),
+                changed: Condvar::new(),
+            };
+            let reports = solver.solve_batch(&scenarios, &SolveSpec::cold(), threads);
+            assert_eq!(reports.len(), scenarios.len());
+            assert!(reports.iter().all(Result::is_ok));
+            assert_eq!(
+                solver.state.lock().unwrap().1,
+                expected,
+                "{threads} worker threads"
+            );
         }
     }
 

@@ -20,9 +20,9 @@
 //! `z_n = 1 / (2 p_n d_n r_n)` is updated in closed form, and the remaining
 //! convex subproblem is solved numerically. The inner solver here is the
 //! projected-gradient method of `quhe-opt` (fast; used inside the alternating
-//! loop); [`Stage3Solver::solve_with_gap_trace`] additionally runs a final
-//! interior-point polish to produce the duality-gap trace of the paper's
-//! Fig. 4(d).
+//! loop); [`Stage3Solver::gap_trace`] re-solves the convex subproblem at a
+//! given allocation with an interior-point method to produce the
+//! duality-gap trace of the paper's Fig. 4(d).
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
@@ -63,8 +63,10 @@ pub struct Stage3Result {
     pub cost: f64,
     /// Cost after each outer (quadratic-transform) iteration.
     pub trace: Vec<f64>,
-    /// Duality-gap trace of the final interior-point polish (only populated
-    /// by [`Stage3Solver::solve_with_gap_trace`]; reproduces Fig. 4(d)).
+    /// Duality-gap trace of the interior-point polish at this result's
+    /// allocation ([`Stage3Solver::gap_trace`]; reproduces Fig. 4(d)). Empty
+    /// unless the solve ran at full instrumentation, which fills it for the
+    /// final Stage-3 call only.
     pub gap_trace: Vec<f64>,
     /// Number of outer iterations of the fractional-programming loop.
     pub iterations: usize,
@@ -634,44 +636,13 @@ impl Stage3Solver {
     /// # Errors
     /// Propagates optimization errors from the fractional-programming loop.
     pub fn solve(&self, problem: &Problem, vars: &DecisionVariables) -> QuheResult<Stage3Result> {
-        self.run(problem, vars, false, true)
-    }
-
-    /// Like [`Stage3Solver::solve`] but additionally performs a final
-    /// interior-point polish of the convex subproblem to record the
-    /// duality-gap trace of the paper's Fig. 4(d).
-    ///
-    /// # Errors
-    /// Propagates optimization errors from the fractional-programming loop or
-    /// the interior-point polish.
-    pub fn solve_with_gap_trace(
-        &self,
-        problem: &Problem,
-        vars: &DecisionVariables,
-    ) -> QuheResult<Stage3Result> {
-        self.run(problem, vars, true, true)
-    }
-
-    /// Like [`Stage3Solver::solve`] but using only the warm start from
-    /// `vars`, skipping the canonical multi-start points. Intended for outer
-    /// iterations after the first, where the warm start already sits in the
-    /// best basin found and re-exploring the fixed starts only costs time.
-    ///
-    /// # Errors
-    /// Propagates optimization errors from the fractional-programming loop.
-    pub fn solve_warm_start_only(
-        &self,
-        problem: &Problem,
-        vars: &DecisionVariables,
-    ) -> QuheResult<Stage3Result> {
-        self.run(problem, vars, false, false)
+        self.run(problem, vars, true)
     }
 
     pub(crate) fn run(
         &self,
         problem: &Problem,
         vars: &DecisionVariables,
-        with_gap_trace: bool,
         multi_start: bool,
     ) -> QuheResult<Stage3Result> {
         let start = Instant::now();
@@ -827,11 +798,6 @@ impl Stage3Solver {
         };
 
         let solution = constants.unscale(&outcome.solution);
-        let gap_trace = if with_gap_trace {
-            self.interior_point_gap_trace(&constants, problem, &solution)?
-        } else {
-            Vec::new()
-        };
 
         let power = solution[..n].to_vec();
         let bandwidth = solution[n..2 * n].to_vec();
@@ -846,23 +812,24 @@ impl Stage3Solver {
             delay_bound,
             cost: constants.total_cost(&solution),
             trace: outcome.trace,
-            gap_trace,
+            gap_trace: Vec::new(),
             iterations: outcome.iterations,
             converged: outcome.converged,
             runtime_s: start.elapsed().as_secs_f64(),
         })
     }
 
-    /// Re-solves the final convex subproblem (fixed auxiliary variables) with
-    /// the log-barrier interior-point method, returning its duality-gap
-    /// trace. The explicit `T` variable and the (17i) constraints are
-    /// reintroduced, exactly as problem P6 states them.
-    fn interior_point_gap_trace(
-        &self,
-        constants: &Stage3Constants,
-        problem: &Problem,
-        x_star: &[f64],
-    ) -> QuheResult<Vec<f64>> {
+    /// The duality-gap trace of the paper's Fig. 4(d) at the allocation in
+    /// `vars`: re-solves the convex subproblem at `vars.lambda` with the
+    /// log-barrier interior-point method, starting from the resources of
+    /// `vars`, and returns the barrier's gap trace. The explicit `T`
+    /// variable and the (17i) constraints are reintroduced, exactly as
+    /// problem P6 states them.
+    ///
+    /// # Errors
+    /// Propagates cost-model errors and interior-point solver errors.
+    pub fn gap_trace(problem: &Problem, vars: &DecisionVariables) -> QuheResult<Vec<f64>> {
+        let constants = Stage3Constants::build(problem, &vars.lambda)?;
         let n = constants.num_clients();
         let mec = problem.scenario().mec();
         // Decision vector: [p, b, f_c, f_s, T].
@@ -877,11 +844,11 @@ impl Stage3Solver {
         let b_total = mec.total_bandwidth_hz();
         let f_total = mec.total_server_frequency_hz();
 
-        // Pull the Stage-3 solution strictly inside every constraint so the
+        // Pull the allocation strictly inside every constraint so the
         // barrier method has a strictly feasible start: box variables are
         // moved a fraction below their caps and budget blocks are rescaled to
         // consume at most 99.9 % of their budgets.
-        let mut start_point = x_star.to_vec();
+        let mut start_point = Self::pack(vars);
         for client in 0..n {
             start_point[client] = start_point[client].min(0.999 * p_max[client]);
             start_point[2 * n + client] = start_point[2 * n + client].min(0.999 * f_max[client]);
@@ -1027,14 +994,18 @@ mod tests {
 
     #[test]
     fn gap_trace_decreases_below_tolerance() {
-        let (problem, vars) = setup();
-        let solver = Stage3Solver::new(10, 1e-5);
-        let result = solver.solve_with_gap_trace(&problem, &vars).unwrap();
-        assert!(!result.gap_trace.is_empty());
-        for pair in result.gap_trace.windows(2) {
+        let (problem, mut vars) = setup();
+        let result = Stage3Solver::new(10, 1e-5).solve(&problem, &vars).unwrap();
+        vars.power = result.power;
+        vars.bandwidth = result.bandwidth;
+        vars.client_frequency = result.client_frequency;
+        vars.server_frequency = result.server_frequency;
+        let gap_trace = Stage3Solver::gap_trace(&problem, &vars).unwrap();
+        assert!(!gap_trace.is_empty());
+        for pair in gap_trace.windows(2) {
             assert!(pair[1] < pair[0]);
         }
-        assert!(*result.gap_trace.last().unwrap() < 1e-4);
+        assert!(*gap_trace.last().unwrap() < 1e-4);
     }
 
     #[test]

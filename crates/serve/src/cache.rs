@@ -23,10 +23,10 @@
 //!
 //! Eviction is **LRU**: exact hits and anchor nominations both refresh an
 //! entry's recency, and at capacity the least-recently-used entry is evicted
-//! from both indexes. The recency order is an intrusive doubly-linked list
-//! over id-keyed nodes, so every lookup, touch, insert and eviction stays
-//! O(1) in the entry count (anchor ranking is linear in the — capped —
-//! bucket, not the cache).
+//! from both indexes. Every use stamps the entry from a monotonic clock, and
+//! the recency order is a map from stamp to entry, so a touch, insert or
+//! eviction costs O(log n) in the entry count (anchor ranking is linear in
+//! the — capped — bucket, not the cache).
 //!
 //! The cache keeps monotonic telemetry ([`CacheStats`]: hits, misses,
 //! insertions, evictions, anchor promotions/demotions) under the same mutex
@@ -45,7 +45,7 @@
 //! inserts are index operations (the heavy solver work happens outside the
 //! lock), so contention stays negligible next to a solve.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -158,24 +158,20 @@ impl CacheStats {
 
 type NodeId = u64;
 
-/// One recency-list node. `prev` points toward the MRU head, `next` toward
-/// the LRU tail; `last_used` is a monotonic stamp used to rank anchors
-/// within a bucket without walking the list.
+/// One cached entry with its last-use stamp: its key in the recency order,
+/// and what ranks anchors within a bucket.
 #[derive(Debug)]
 struct Node {
     entry: Arc<CacheEntry>,
-    prev: Option<NodeId>,
-    next: Option<NodeId>,
     last_used: u64,
 }
 
 #[derive(Default)]
 struct CacheInner {
     nodes: HashMap<NodeId, Node>,
-    /// Most recently used.
-    head: Option<NodeId>,
-    /// Least recently used — the eviction candidate.
-    tail: Option<NodeId>,
+    /// Every node keyed by its `last_used` stamp: the first entry is the
+    /// least recently used (the eviction candidate), the last the most.
+    recency: BTreeMap<u64, NodeId>,
     next_id: NodeId,
     clock: u64,
     by_full: HashMap<u128, Vec<NodeId>>,
@@ -184,46 +180,14 @@ struct CacheInner {
 }
 
 impl CacheInner {
-    fn unlink(&mut self, id: NodeId) {
-        let (prev, next) = {
-            let node = &self.nodes[&id];
-            (node.prev, node.next)
-        };
-        match prev {
-            Some(p) => self.nodes.get_mut(&p).expect("linked node").next = next,
-            None => self.head = next,
-        }
-        match next {
-            Some(n) => self.nodes.get_mut(&n).expect("linked node").prev = prev,
-            None => self.tail = prev,
-        }
-    }
-
-    fn push_front(&mut self, id: NodeId) {
-        let old_head = self.head;
-        {
-            let node = self.nodes.get_mut(&id).expect("pushed node");
-            node.prev = None;
-            node.next = old_head;
-        }
-        if let Some(h) = old_head {
-            self.nodes.get_mut(&h).expect("old head").prev = Some(id);
-        }
-        self.head = Some(id);
-        if self.tail.is_none() {
-            self.tail = Some(id);
-        }
-    }
-
-    /// Moves `id` to the MRU position and stamps it. O(1).
+    /// Stamps `id` as the most recently used entry.
     fn touch(&mut self, id: NodeId) {
         self.clock += 1;
-        let stamp = self.clock;
-        if self.head != Some(id) {
-            self.unlink(id);
-            self.push_front(id);
+        if let Some(node) = self.nodes.get_mut(&id) {
+            self.recency.remove(&node.last_used);
+            node.last_used = self.clock;
+            self.recency.insert(self.clock, id);
         }
-        self.nodes.get_mut(&id).expect("touched node").last_used = stamp;
     }
 
     fn remove_from_bucket(map: &mut HashMap<u128, Vec<NodeId>>, key: u128, id: NodeId) {
@@ -235,13 +199,16 @@ impl CacheInner {
         }
     }
 
-    /// Evicts the least-recently-used entry from the list and both indexes.
-    /// In-flight holders of the entry's `Arc` keep their reference alive;
-    /// the cache merely forgets its own.
+    /// Evicts the least-recently-used entry from the recency order and both
+    /// indexes. In-flight holders of the entry's `Arc` keep their reference
+    /// alive; the cache merely forgets its own.
     fn evict_lru(&mut self) {
-        let Some(id) = self.tail else { return };
-        self.unlink(id);
-        let node = self.nodes.remove(&id).expect("tail node");
+        let Some((_, id)) = self.recency.pop_first() else {
+            return;
+        };
+        let Some(node) = self.nodes.remove(&id) else {
+            return;
+        };
         Self::remove_from_bucket(&mut self.by_full, node.entry.fingerprint.as_u128(), id);
         Self::remove_from_bucket(&mut self.by_shape, node.entry.shape.as_u128(), id);
         self.stats.evictions += 1;
@@ -273,8 +240,9 @@ impl CacheInner {
             if anchors <= MAX_ANCHORS_PER_BUCKET {
                 return;
             }
-            let Some((victim_id, _)) = victim else { return };
-            let node = self.nodes.get_mut(&victim_id).expect("victim node");
+            let Some(node) = victim.and_then(|(id, _)| self.nodes.get_mut(&id)) else {
+                return;
+            };
             let mut demoted = (*node.entry).clone();
             demoted.anchor = false;
             node.entry = Arc::new(demoted);
@@ -452,19 +420,17 @@ impl ScenarioCache {
                 })
             });
         if let Some(id) = duplicate {
-            let shape_key = entry.shape.as_u128();
-            if entry.anchor && !inner.nodes[&id].entry.anchor {
-                let node = inner.nodes.get_mut(&id).expect("duplicate node");
-                let mut promoted = (*node.entry).clone();
-                promoted.anchor = true;
-                node.entry = Arc::new(promoted);
-                inner.stats.anchor_promotions += 1;
-                inner.touch(id);
-                inner.enforce_anchor_cap(shape_key, &entry.solver, id);
-            } else {
-                // The duplicate was just re-solved: it is recent even if the
-                // stored copy is kept.
-                inner.touch(id);
+            // The duplicate was just re-solved: it is recent even if the
+            // stored copy is kept.
+            inner.touch(id);
+            if entry.anchor {
+                if let Some(node) = inner.nodes.get_mut(&id).filter(|node| !node.entry.anchor) {
+                    let mut promoted = (*node.entry).clone();
+                    promoted.anchor = true;
+                    node.entry = Arc::new(promoted);
+                    inner.stats.anchor_promotions += 1;
+                    inner.enforce_anchor_cap(entry.shape.as_u128(), &entry.solver, id);
+                }
             }
             return;
         }
@@ -483,12 +449,10 @@ impl ScenarioCache {
             id,
             Node {
                 entry: Arc::new(entry),
-                prev: None,
-                next: None,
                 last_used: stamp,
             },
         );
-        inner.push_front(id);
+        inner.recency.insert(stamp, id);
         inner.by_full.entry(full_key).or_default().push(id);
         inner.by_shape.entry(shape_key).or_default().push(id);
         inner.stats.insertions += 1;
@@ -507,10 +471,8 @@ impl ScenarioCache {
     pub fn snapshot(&self) -> JsonValue {
         let inner = self.inner.lock();
         let mut entries = Vec::with_capacity(inner.nodes.len());
-        let mut cursor = inner.tail;
-        while let Some(id) = cursor {
-            let node = &inner.nodes[&id];
-            let e = &node.entry;
+        for id in inner.recency.values() {
+            let e = &inner.nodes[id].entry;
             entries.push(
                 JsonValue::object()
                     .with("fingerprint", JsonValue::String(e.fingerprint.to_hex()))
@@ -521,7 +483,6 @@ impl ScenarioCache {
                     .with("scenario", e.scenario.to_json_value())
                     .with("report", e.report.to_json_value()),
             );
-            cursor = node.prev;
         }
         JsonValue::object()
             .with("schema", JsonValue::String(SNAPSHOT_SCHEMA.to_string()))

@@ -43,11 +43,10 @@
 //! capacity, worker threads, queue bound — lives in one [`ServiceConfig`]
 //! builder.
 //!
-//! [`SolveService::handle_batch`] shards request streams across the scoped
-//! worker pool with all workers sharing one cache. The repository
-//! benchmark in `perfbench/` drives this service over a real [`TcpServer`];
-//! `examples/serve_roundtrip.rs` walks the JSON protocol end to end and
-//! `examples/tcp_client.rs` the framed TCP front end.
+//! The repository benchmark in `perfbench/` drives this service over a
+//! real [`TcpServer`]; `examples/serve_roundtrip.rs` walks the JSON
+//! protocol end to end and `examples/tcp_client.rs` the framed TCP front
+//! end.
 //!
 //! ```
 //! use quhe_serve::prelude::*;

@@ -31,16 +31,27 @@ use quhe_core::solver::SolveSpec;
 /// client count: on a 2-vCPU x86_64 host, cold inline solves at the default
 /// configuration took at most 0.47 s at 20 clients, 1.55 s at 24 and 3.68 s
 /// at 32. The bound is the largest measured size that fits a 1 s budget;
-/// the catalogue worlds (up to 32 clients) are not limited by it.
+/// the catalogue worlds (up to 32 clients) are not limited by it. Those
+/// figures are for the default degree set: with `lambda_choices`
+/// {32768, 36864, 40960}, inline solves at 20 clients took up to 1.7 s.
 pub const MAX_INLINE_CLIENTS: usize = 20;
 
 /// Upper bound on the resolved client count of a request with
-/// `"instrumentation": "full"`. Full instrumentation adds the Fig. 4(d)
-/// interior-point polish of Stage 3, which dominates the solve: on a 2-vCPU
-/// x86_64 host, full inline solves took at most 0.51 s at 8 clients and
-/// 1.04 s at 10, and a full `dense_cell` solve (32 clients) about 45 s.
-/// Checked once the scenario is resolved, so it covers every scenario shape.
+/// `"instrumentation": "full"`. Full instrumentation adds one Fig. 4(d)
+/// interior-point polish of the final Stage-3 allocation, which dominates
+/// the solve: on a 2-vCPU x86_64 host at the default configuration, full
+/// inline solves took at most 0.27 s at 8 clients and 0.39 s at 10, full
+/// `far_edge` solves (8 clients) at most 0.34 s, and a full `dense_cell`
+/// solve (32 clients) about 11 s. Checked once the scenario is resolved, so
+/// it covers every scenario shape.
 pub const MAX_FULL_INSTRUMENTATION_CLIENTS: usize = 8;
+
+/// Upper bound on the length of an inline `lambda_choices` list. Every
+/// degree of the list is a Stage-2 choice for every client, so an unbounded
+/// list would buy unbounded solver work: on a 2-vCPU x86_64 host, inline
+/// solves at 20 clients took at most 0.25 s with 32 to 256 degrees, 1.9 s
+/// with 1,000 and 15.9 s with 3,000.
+pub const MAX_INLINE_LAMBDA_CHOICES: usize = 64;
 
 /// Upper bound on `drift_step`. Resolving a drifted world replays that many
 /// deterministic drift steps, so an unbounded value would be a CPU
@@ -219,18 +230,28 @@ impl ScenarioSpec {
             let num_clients = num_clients_raw as usize;
             let lambda_choices = match inline.get("lambda_choices") {
                 None | Some(JsonValue::Null) => None,
-                Some(other) => Some(
-                    other
+                Some(other) => {
+                    let entries = other
                         .as_array()
-                        .ok_or_else(|| malformed("field 'lambda_choices' must be an array"))?
-                        .iter()
-                        .map(|v| {
-                            v.as_u64().ok_or_else(|| {
-                                malformed("field 'lambda_choices' must hold integers")
+                        .ok_or_else(|| malformed("field 'lambda_choices' must be an array"))?;
+                    if entries.len() > MAX_INLINE_LAMBDA_CHOICES {
+                        return Err(malformed(&format!(
+                            "inline lambda_choices has {} entries, over the service \
+                             limit of {MAX_INLINE_LAMBDA_CHOICES}",
+                            entries.len()
+                        )));
+                    }
+                    Some(
+                        entries
+                            .iter()
+                            .map(|v| {
+                                v.as_u64().ok_or_else(|| {
+                                    malformed("field 'lambda_choices' must hold integers")
+                                })
                             })
-                        })
-                        .collect::<QuheResult<Vec<u64>>>()?,
-                ),
+                            .collect::<QuheResult<Vec<u64>>>()?,
+                    )
+                }
             };
             return Ok(ScenarioSpec::Inline(InlineScenario {
                 num_clients,
@@ -459,6 +480,14 @@ mod tests {
 
     #[test]
     fn malformed_requests_name_the_problem() {
+        let too_many_degrees = format!(
+            "{{\"scenario\": {{\"inline\": {{\"num_clients\": 2, \"seed\": 1, \
+             \"lambda_choices\": [{}]}}}}}}",
+            (0..=MAX_INLINE_LAMBDA_CHOICES as u64)
+                .map(|k| ((1u64 << 15) + 4096 * k).to_string())
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
         for (text, needle) in [
             ("{}", "missing field 'scenario'"),
             ("{\"scenario\": {}}", "'catalog' or 'inline'"),
@@ -510,6 +539,10 @@ mod tests {
                 "{\"scenario\": {\"catalog\": \"x\", \"inline\": {\"num_clients\": 6, \
                  \"seed\": 1}}}",
                 "mixes 'inline' with 'catalog'",
+            ),
+            (
+                too_many_degrees.as_str(),
+                "inline lambda_choices has 65 entries, over the service limit of 64",
             ),
             ("not json", "malformed SolveRequest JSON"),
         ] {

@@ -26,11 +26,9 @@
 //! 3. **Cold** — no reusable state: the request is solved as specified and
 //!    cached for future requests.
 //!
-//! [`SolveService::handle_batch`] shards a request stream across the scoped
-//! worker pool; the cache is shared, so duplicates arriving on different
-//! workers still collapse to one solve plus hits (modulo racing workers that
-//! start the same scenario before either finishes — both results are
-//! correct, and the cache keeps one).
+//! The TCP front end's workers call [`SolveService::handle`] concurrently on
+//! one shared service: they share one cache, and concurrent identical
+//! misses coalesce to one solve.
 
 use std::time::Instant;
 
@@ -577,21 +575,6 @@ impl SolveService {
         )
     }
 
-    /// Handles a request whose scenario is already resolved (the entry point
-    /// tests and embedding callers use to serve concrete scenarios).
-    ///
-    /// # Errors
-    /// Unknown solver names and solver errors.
-    pub fn handle_scenario(
-        &self,
-        id: Option<String>,
-        scenario: &SystemScenario,
-        solver: &str,
-        spec: &SolveSpec,
-    ) -> QuheResult<SolveResponse> {
-        self.handle_resolved(id, scenario, solver, spec, Instant::now())
-    }
-
     fn handle_resolved(
         &self,
         id: Option<String>,
@@ -799,17 +782,6 @@ impl SolveService {
             Ok(response) => wire::ok_envelope(proto, &response),
             Err(e) => wire::error_envelope(proto, request.id.as_deref(), &e),
         }
-    }
-
-    /// Handles a batch of requests concurrently on a scoped worker pool
-    /// (`threads = 0` sizes the pool to the machine, `1` runs serially),
-    /// returning responses in request order. All workers share the cache.
-    pub fn handle_batch(
-        &self,
-        requests: &[SolveRequest],
-        threads: usize,
-    ) -> Vec<QuheResult<SolveResponse>> {
-        threadpool::ThreadPool::new(threads).par_map(requests, |request| self.handle(request))
     }
 }
 
@@ -1324,43 +1296,42 @@ mod tests {
     }
 
     #[test]
-    fn batch_serving_matches_serial_and_dedupes() {
-        let service = quick_service();
-        // Warm the cache serially, then replay duplicates concurrently:
-        // every one must be an exact hit, bit-identical to the original
-        // (duplicates racing ahead of any cached original would instead
-        // each solve cold — correct, just unde-duplicated).
-        let first = service
-            .handle(&SolveRequest::catalog("paper_default", 1))
-            .unwrap();
-        let duplicates: Vec<SolveRequest> = (0..4)
-            .map(|_| SolveRequest::catalog("paper_default", 1))
-            .collect();
-        for response in service.handle_batch(&duplicates, 2) {
-            let response = response.unwrap();
-            assert_eq!(response.cache, CacheOutcome::Hit);
-            assert_eq!(response.report, first.report);
-        }
-
-        // A cold batch produces the same solutions as a fresh serial
-        // service (wall clocks differ; the solutions must not).
+    fn concurrent_cold_requests_match_a_serial_service() {
+        // Two worlds of different shapes, so neither can donate a warm
+        // anchor to the other: both are served cold, concurrently, through
+        // one service, and each equals a fresh serial service's solve (wall
+        // clocks differ; the solutions must not).
         let requests = [
             SolveRequest::catalog("far_edge", 1),
-            SolveRequest::catalog("far_edge", 2),
+            SolveRequest::catalog("bursty_workload", 1),
         ];
-        let parallel = service.handle_batch(&requests, 2);
-        let serial = quick_service();
-        for (request, parallel_response) in requests.iter().zip(parallel) {
-            let parallel_response = parallel_response.unwrap();
-            let response = serial.handle(request).unwrap();
+        let service = quick_service();
+        let barrier = std::sync::Barrier::new(requests.len());
+        let concurrent: Vec<SolveResponse> = std::thread::scope(|scope| {
+            let handles: Vec<_> = requests
+                .iter()
+                .map(|request| {
+                    let (service, barrier) = (&service, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        service.handle(request).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (request, response) in requests.iter().zip(&concurrent) {
+            assert_eq!(response.cache, CacheOutcome::Cold, "{}", request.to_json());
+            let serial = quick_service().handle(request).unwrap();
+            assert_eq!(serial.cache, CacheOutcome::Cold);
             assert_eq!(
-                response.report.objective,
-                parallel_response.report.objective
+                serial.report.objective.to_bits(),
+                response.report.objective.to_bits(),
+                "{}",
+                request.to_json()
             );
-            assert_eq!(
-                response.report.variables,
-                parallel_response.report.variables
-            );
+            assert_eq!(serial.report.variables, response.report.variables);
         }
+        assert_eq!(service.stats().cold_solves, requests.len());
     }
 }

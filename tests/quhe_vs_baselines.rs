@@ -51,12 +51,21 @@ fn quhe_dominates_every_baseline_on_the_objective() {
 #[test]
 fn quhe_beats_average_allocation_on_every_catalogued_scenario() {
     // The Fig. 5(d) dominance claim generalized to the whole scenario
-    // catalogue, solved as one parallel batch via `Solver::solve_batch` (the
-    // same path `batch_eval` takes): every world, from the paper's cell to
-    // the 32-client dense cell, must end feasible and at least as good as
+    // catalogue at three seeds, solved as one parallel batch via
+    // `Solver::solve_batch`: every world, from the paper's cell to the
+    // 32-client dense cell, must end feasible and at least as good as
     // average allocation.
     let catalog = ScenarioCatalog::builtin();
-    let named = catalog.generate_all(42).unwrap();
+    let named: Vec<(String, SystemScenario)> = (42..=44)
+        .flat_map(|seed| {
+            catalog
+                .generate_all(seed)
+                .unwrap()
+                .into_iter()
+                .map(move |(name, scenario)| (format!("{name} seed {seed}"), scenario))
+        })
+        .collect();
+    assert!(named.len() >= 15, "{} worlds", named.len());
     let config = QuheConfig {
         max_outer_iterations: 1,
         max_stage3_iterations: 5,
