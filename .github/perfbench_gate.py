@@ -19,14 +19,21 @@ matches quhe-core's solve_warm_guarded. It does not enter the reference.
 
 `check` also fails when
 * a workload's objective_mean differs from the reference (the figure is exact
-  for a fixed seed and window), or
+  for a fixed seed and window),
 * for any world, the median of stage3.solve_s.<world> over the five traced
   runs exceeds STAGE3_GATE times the reference median. Each traced run times
   one probe solve per world, so the median needs enough runs to ride out a
-  slow probe on a small shared host.
+  slow probe on a small shared host, or
+* for any world, the median of core.cold_solve_s.<world> over the five traced
+  runs exceeds COLD_GATE times the reference median. Each traced run reports
+  the median of its replayed cold solves of that world (stages 1-3 and the
+  alternation around them), so this gate watches the whole cold solve where
+  the Stage-3 gate watches one stage.
 
-`record` takes more traced runs and rewrites the reference from them. Run it
-after a change that moves the served objectives or the Stage-3 cost.
+`record` takes more traced runs and rewrites the reference from them: the
+untraced windows, and the per-world medians of both gated metrics. Run it
+after a change that moves the served objectives, the Stage-3 cost or the cost
+of a cold solve.
 """
 
 import json
@@ -46,6 +53,10 @@ SECONDS = 5
 TRACED_SECONDS = 3
 TRACED_RUNS = {"check": 5, "record": 7}
 STAGE3_GATE = 2.0
+COLD_GATE = 2.0
+# (traced metric, reference key, gate factor) of the per-world gates.
+PER_WORLD_GATES = [("stage3.solve_s", "stage3_solve_s", STAGE3_GATE),
+                   ("core.cold_solve_s", "cold_solve_s", COLD_GATE)]
 COMMAND = ["cargo", "run", "--release", "--offline", "--quiet",
            "--manifest-path", "perfbench/Cargo.toml", "--"]
 
@@ -85,8 +96,8 @@ def traced_run(index):
     return result
 
 
-def stage3_medians(traced):
-    return {w: statistics.median(value(r, f"stage3.solve_s.{w}") for r in traced)
+def per_world_medians(traced, metric):
+    return {w: statistics.median(value(r, f"{metric}.{w}") for r in traced)
             for w in WORLDS}
 
 
@@ -97,7 +108,7 @@ def main(mode):
     windows = {w: perfbench(w, w, SECONDS, 0) for w in WORKLOADS}
     traced = [traced_run(i) for i in range(1, TRACED_RUNS[mode] + 1)]
     perfbench("traced-drift", "drift_track", TRACED_SECONDS, 1)
-    stage3 = stage3_medians(traced)
+    medians = {key: per_world_medians(traced, metric) for metric, key, _ in PER_WORLD_GATES}
 
     if mode == "record":
         reference = {
@@ -110,7 +121,7 @@ def main(mode):
             "traced_seconds": TRACED_SECONDS,
             "traced_runs": len(traced),
             "windows": windows,
-            "stage3_solve_s": stage3,
+            **medians,
         }
         with open(REFERENCE, "w") as out:
             json.dump(reference, out, indent=2)
@@ -127,12 +138,13 @@ def main(mode):
         print(f"{w}: objective_mean {got!r} (reference {want!r})")
         if got != want:
             failures.append(f"{w}: objective_mean {got!r} != reference {want!r}")
-    for w in WORLDS:
-        got, want = stage3[w], reference["stage3_solve_s"][w]
-        print(f"stage3.solve_s.{w}: median {got * 1e3:.2f} ms "
-              f"(gate {STAGE3_GATE:g}x {want * 1e3:.2f} ms)")
-        if got > STAGE3_GATE * want:
-            failures.append(f"stage3.solve_s.{w}: {got:.6f} s > {STAGE3_GATE:g}x {want:.6f} s")
+    for metric, key, gate in PER_WORLD_GATES:
+        for w in WORLDS:
+            got, want = medians[key][w], reference[key][w]
+            print(f"{metric}.{w}: median {got * 1e3:.2f} ms "
+                  f"(gate {gate:g}x {want * 1e3:.2f} ms)")
+            if got > gate * want:
+                failures.append(f"{metric}.{w}: {got:.6f} s > {gate:g}x {want:.6f} s")
     if failures:
         sys.exit("\n".join(failures))
 

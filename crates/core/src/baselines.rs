@@ -44,7 +44,7 @@ use crate::variables::DecisionVariables;
 pub(crate) fn shared_stage1_start(
     problem: &Problem,
 ) -> QuheResult<(DecisionVariables, Stage1Result)> {
-    let stage1 = Stage1Solver::new().solve(problem)?;
+    let stage1 = problem.stage1()?.clone();
     let mut vars = problem.initial_point()?;
     vars.phi = stage1.phi.clone();
     vars.w = stage1.w.clone();

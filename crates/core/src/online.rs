@@ -331,7 +331,8 @@ pub struct OnlineStepRecord {
     /// The floor guard's work is reported separately in
     /// [`OnlineStepRecord::guard_outer_iterations`].
     pub outer_iterations: usize,
-    /// Stage calls spent on the solve path, `[stage1, stage2, stage3]`.
+    /// Stage calls spent on the solve path, `[stage1, stage2, stage3]`,
+    /// counted like [`WarmSolve::path_stage_calls`] on warm steps.
     pub stage_calls: [usize; 3],
     /// Outer iterations of the single-start floor guard (0 for cold and
     /// cached steps, which need no guard).
@@ -438,8 +439,10 @@ pub struct WarmSolve {
     /// Outer iterations on the solve path: the warm solve's, plus the cold
     /// fallback's when it ran.
     pub path_outer_iterations: usize,
-    /// Stage calls on the solve path, `[stage1, stage2, stage3]`, counted
-    /// like [`WarmSolve::path_outer_iterations`].
+    /// Stage calls on the solve path, `[stage1, stage2, stage3]`: the warm
+    /// solve's, plus the cold fallback's Stage-2 and Stage-3 calls when it
+    /// ran. The fallback reuses the warm solve's Stage-1 solution, so the
+    /// Stage-1 entry is the warm solve's alone.
     pub path_stage_calls: [usize; 3],
     /// Outer iterations of the single-start floor guard.
     pub guard_outer_iterations: usize,
@@ -466,6 +469,14 @@ pub struct WarmSolve {
 /// caller's: the service re-solves the request as written, the online engine
 /// re-anchors at [`anchor_config`].
 ///
+/// The three solves share one Stage-1 solve. Problem P3 reads only the QKD
+/// network and `min_entanglement_rate`, which the three configurations share
+/// (they differ in tolerance and thread count), so the guard's and the
+/// fallback's problems are derived from the warm problem with
+/// [`Problem::with_config`] and run through [`Solver::solve_prepared`]: the
+/// warm solve fills the Stage-1 solution, and the guard and the fallback
+/// read it back bit for bit.
+///
 /// # Errors
 /// Scenario, warm-start and solver errors of the three solves.
 pub fn solve_warm_guarded(
@@ -482,8 +493,8 @@ pub fn solve_warm_guarded(
         &problem,
         &SolveSpec::warm_from(warm_start).with_instrumentation(spec.instrumentation()),
     )?;
-    let floor = solver.with_config(config).solve(
-        scenario,
+    let floor = solver.with_config(config).solve_prepared(
+        &problem.with_config(config)?,
         &SolveSpec::single_start().with_instrumentation(spec.instrumentation()),
     )?;
     let (guard_outer_iterations, guard_objective) = (floor.outer_iterations, floor.objective);
@@ -498,9 +509,16 @@ pub fn solve_warm_guarded(
             report: warm,
         });
     }
-    let cold = fallback.solve(scenario, spec)?;
+    let cold = fallback.solve_prepared(
+        &problem.with_config(spec.effective_config(fallback.config()))?,
+        spec,
+    )?;
     let path_outer_iterations = warm.outer_iterations + cold.outer_iterations;
-    let path_stage_calls = std::array::from_fn(|i| warm.stage_calls[i] + cold.stage_calls[i]);
+    let path_stage_calls = [
+        warm.stage_calls[0],
+        warm.stage_calls[1] + cold.stage_calls[1],
+        warm.stage_calls[2] + cold.stage_calls[2],
+    ];
     let mut report = if floor.objective > warm.objective {
         floor
     } else {
@@ -801,6 +819,45 @@ mod tests {
                 .unwrap();
         let online = solve_online_with(&aa, &frozen).unwrap();
         assert_eq!(online.count(SolveKind::Cached), 2);
+    }
+
+    #[test]
+    fn a_warm_fallback_path_solves_stage1_once() {
+        // Drift step 1 of far_edge seed 7 at the service's 1 % drift loses
+        // to its single-start floor (a `warm_fallback` row of
+        // `tests/cold_parity.rs`'s warm goldens).
+        let config = QuheConfig {
+            max_outer_iterations: 5,
+            max_stage3_iterations: 20,
+            solver_threads: 1,
+            ..QuheConfig::default()
+        };
+        let trace_config = OnlineTraceConfig {
+            drift_amplitude: 0.01,
+            key_rate_drift: 0.01,
+            ..OnlineTraceConfig::drift_only(1)
+        };
+        let trace =
+            SystemTrace::generate(&ScenarioCatalog::builtin(), "far_edge", 7, &trace_config)
+                .unwrap();
+        let solver = QuheSolver::new(config);
+        let anchor = solver
+            .solve(&trace.steps()[0].scenario, &SolveSpec::cold())
+            .unwrap();
+        let warm = solve_warm_guarded(
+            &solver,
+            &trace.steps()[1].scenario,
+            &SolveSpec::cold(),
+            &anchor,
+            &solver,
+        )
+        .unwrap();
+        assert_eq!(warm.kind, SolveKind::WarmFallback);
+        // The warm solve, the floor guard and the cold fallback share one
+        // Stage-1 solve; every report still records its one Stage-1 call.
+        assert_eq!(warm.path_stage_calls[0], 1);
+        assert_eq!(warm.report.stage_calls[0], 1);
+        assert!(warm.path_stage_calls[1] >= 2 && warm.path_stage_calls[2] >= 2);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Problem P1 (Eq. 17): objective evaluation, constraint checking and
 //! feasible-point construction.
 
+use std::sync::{Arc, OnceLock};
+
 use quhe_crypto::cost_model::min_security_level;
 use quhe_mec::compute::{client_encryption_cost, server_computation_cost};
 use quhe_mec::cost::{ClientCostBreakdown, SystemCost};
@@ -12,6 +14,7 @@ use rand::Rng;
 use crate::error::{QuheError, QuheResult};
 use crate::params::QuheConfig;
 use crate::scenario::SystemScenario;
+use crate::stage1::{Stage1Result, Stage1Solver};
 use crate::variables::DecisionVariables;
 
 /// Relative tolerance applied to budget and delay constraints to absorb
@@ -20,10 +23,17 @@ const CONSTRAINT_TOLERANCE: f64 = 1e-6;
 
 /// Problem P1: the scenario, the configuration and everything needed to
 /// evaluate the objective of Eq. (17) and its constraints (17a)–(17i).
+///
+/// The problem also holds its Stage-1 solution (problem P3), solved on first
+/// use by [`Problem::stage1`]. P3 reads only the QKD network and
+/// `min_entanglement_rate`, so clones and the problems [`Problem::with_config`]
+/// derives for another configuration with the same minimum rate share that
+/// solution.
 #[derive(Debug, Clone)]
 pub struct Problem {
     scenario: SystemScenario,
     config: QuheConfig,
+    stage1: Arc<OnceLock<QuheResult<Stage1Result>>>,
 }
 
 impl Problem {
@@ -34,7 +44,48 @@ impl Problem {
     /// invalid.
     pub fn new(scenario: SystemScenario, config: QuheConfig) -> QuheResult<Self> {
         config.validate()?;
-        Ok(Self { scenario, config })
+        Ok(Self {
+            scenario,
+            config,
+            stage1: Arc::default(),
+        })
+    }
+
+    /// The same scenario under another configuration. The derived problem
+    /// shares this problem's Stage-1 solution when both configurations have
+    /// bit-equal `min_entanglement_rate`s, and solves its own otherwise.
+    ///
+    /// # Errors
+    /// Returns [`QuheError::InvalidConfig`] when the configuration is
+    /// invalid.
+    pub fn with_config(&self, config: QuheConfig) -> QuheResult<Self> {
+        config.validate()?;
+        let same_rate =
+            config.min_entanglement_rate.to_bits() == self.config.min_entanglement_rate.to_bits();
+        Ok(Self {
+            scenario: self.scenario.clone(),
+            config,
+            stage1: if same_rate {
+                Arc::clone(&self.stage1)
+            } else {
+                Arc::default()
+            },
+        })
+    }
+
+    /// The Stage-1 solution `(phi*, w*)` of problem P3. The first call runs
+    /// [`Stage1Solver::solve`]; later calls, on this problem or on one that
+    /// shares its solution, return the stored result. Its `runtime_s` is the
+    /// wall time of that first solve.
+    ///
+    /// # Errors
+    /// The errors of [`Stage1Solver::solve`], stored and returned again on
+    /// every call.
+    pub fn stage1(&self) -> QuheResult<&Stage1Result> {
+        self.stage1
+            .get_or_init(|| Stage1Solver::new().solve(self))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// The scenario.
@@ -380,6 +431,51 @@ mod tests {
         let vars = p.initial_point().unwrap();
         p.check_feasible(&vars).unwrap();
         assert!(vars.is_finite());
+    }
+
+    #[test]
+    fn with_config_shares_the_stage1_solve_at_the_same_minimum_rate() {
+        let p = problem();
+        let wider = QuheConfig {
+            tolerance: 0.5,
+            solver_threads: 2,
+            ..*p.config()
+        };
+        let derived = p.with_config(wider).unwrap();
+        assert_eq!(derived.config(), &wider);
+        assert_eq!(derived.scenario(), p.scenario());
+        // The derived problem solves first; the original and a clone read
+        // the same result back.
+        let shared = derived.stage1().unwrap();
+        assert!(std::ptr::eq(shared, p.stage1().unwrap()));
+        assert!(std::ptr::eq(shared, p.clone().stage1().unwrap()));
+        // The stored result is the one a fresh solve computes.
+        let fresh = Stage1Solver::new().solve(&p).unwrap();
+        assert_eq!(
+            (&shared.phi, &shared.w, shared.objective, &shared.trace),
+            (&fresh.phi, &fresh.w, fresh.objective, &fresh.trace)
+        );
+        assert_eq!(shared.iterations, fresh.iterations);
+
+        // Another minimum rate is another P3: it gets its own solve.
+        let higher = QuheConfig {
+            min_entanglement_rate: 0.6,
+            ..*p.config()
+        };
+        let other = p.with_config(higher).unwrap();
+        let own = other.stage1().unwrap();
+        assert!(!std::ptr::eq(shared, own));
+        assert!(own.phi.iter().all(|&phi| phi >= 0.6 - 1e-6));
+        assert!(shared.phi.iter().any(|&phi| phi < 0.6));
+
+        let invalid = QuheConfig {
+            tolerance: -1.0,
+            ..*p.config()
+        };
+        assert!(matches!(
+            p.with_config(invalid),
+            Err(QuheError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::metrics::MethodMetrics;
 use crate::params::QuheConfig;
 use crate::problem::Problem;
 use crate::solver::{InstrumentationLevel, SolveReport, SolveSpec, StartMode};
-use crate::stage1::Stage1Solver;
 use crate::stage2::Stage2Solver;
 use crate::stage3::Stage3Solver;
 use crate::variables::DecisionVariables;
@@ -54,7 +53,6 @@ pub(crate) fn alternate(
 ) -> QuheResult<SolveReport> {
     config.validate()?;
     let wall_clock = Instant::now();
-    let stage1_solver = Stage1Solver::new();
     let stage2_solver = Stage2Solver::new();
     let stage3_solver = Stage3Solver::new(config.max_stage3_iterations, config.tolerance * 1e-2)
         .with_threads(config.solver_threads)
@@ -78,9 +76,12 @@ pub(crate) fn alternate(
     let mut converged = false;
 
     // Stage 1 does not depend on the other blocks (the paper drops the
-    // constant terms), so its result is computed once and reused; the
-    // loop below still re-records it per iteration for the trace.
-    let stage1 = stage1_solver.solve(problem)?;
+    // constant terms), so it runs once per problem and is reused: across
+    // this loop, which still re-records it per iteration for the trace, and
+    // across the solves of problems that share it (`Problem::stage1`), such
+    // as the warm solve, floor guard and cold fallback of one warm-served
+    // request. Each solve still counts it as one Stage-1 call.
+    let stage1 = problem.stage1()?.clone();
     stage_calls[0] += 1;
     vars.phi = stage1.phi.clone();
     vars.w = stage1.w.clone();

@@ -549,10 +549,11 @@ pub trait Solver: Send + Sync {
     /// must have built `problem` under this solver's spec-effective
     /// configuration. The default implementation rebuilds from
     /// `problem.scenario()`; solvers that can reuse the instance (the QuHE
-    /// driver) override it to skip the scenario clone and re-validation —
-    /// which is what keeps per-sample and per-step hot paths (the Fig. 3
-    /// study, the online engine's warm re-solves) free of redundant
-    /// problem construction.
+    /// driver) override it to skip the scenario clone and re-validation and
+    /// to read the problem's stored Stage-1 solution ([`Problem::stage1`])
+    /// — which is what keeps per-sample and per-step hot paths (the Fig. 3
+    /// study, the warm path's three solves) free of redundant problem
+    /// construction and P3 solves.
     ///
     /// # Errors
     /// As for [`Solver::solve`].

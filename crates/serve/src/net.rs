@@ -373,6 +373,11 @@ fn accept_loop(
                 let shared = Arc::clone(shared);
                 let id = next_id;
                 next_id += 1;
+                // Reap the connections that have closed since the last
+                // accept, so the registry holds live connections only.
+                for handle in take_finished(connections) {
+                    let _ = handle.join();
+                }
                 // A failed spawn (thread exhaustion) drops the stream: the
                 // client observes a closed connection and can retry, while
                 // the server keeps serving the connections it already has.
@@ -392,6 +397,17 @@ fn accept_loop(
             Err(_) => break,
         }
     }
+}
+
+/// Takes the handles of exited connection threads out of the registry. The
+/// caller joins them after the registry's lock is released.
+fn take_finished(connections: &Mutex<Vec<JoinHandle<()>>>) -> Vec<JoinHandle<()>> {
+    let mut registry = lock(connections);
+    let (finished, live) = std::mem::take(&mut *registry)
+        .into_iter()
+        .partition(JoinHandle::is_finished);
+    *registry = live;
+    finished
 }
 
 fn connection_loop(stream: TcpStream, shared: &Shared) {
@@ -555,6 +571,47 @@ mod tests {
             request: SolveRequest::catalog("paper_default", 1),
             writer: Arc::new(Mutex::new(client)),
         }
+    }
+
+    #[test]
+    fn closed_connections_are_reaped_on_the_next_accept() {
+        use quhe_core::params::QuheConfig;
+        use std::time::Instant;
+
+        let service = crate::ServiceConfig::new(QuheConfig::default()).build();
+        let server = TcpServer::bind(Arc::new(service), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let wait_until = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        let registered = || lock(&server.connection_handles).len();
+        for accepted in 1..=20 {
+            drop(TcpStream::connect(addr).unwrap());
+            wait_until("the accept", &|| server.stats().connections == accepted);
+        }
+        wait_until("the closed connections' threads to exit", &|| {
+            lock(&server.connection_handles)
+                .iter()
+                .all(JoinHandle::is_finished)
+        });
+        let _open = TcpStream::connect(addr).unwrap();
+        wait_until("the 21st accept", &|| server.stats().connections == 21);
+        // The accept thread registers the new handle just after counting
+        // the connection.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while registered() > 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(
+            registered() <= 2,
+            "the registry holds {} handles after 20 closed connections and one open one",
+            registered()
+        );
+        server.shutdown();
     }
 
     #[test]

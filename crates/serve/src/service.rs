@@ -137,8 +137,9 @@ pub struct SolveResponse {
     pub path_outer_iterations: usize,
     /// Outer iterations of the single-start floor guard (0 when no guard
     /// ran — hits, cold responses). Reported separately from the path, as
-    /// in `OnlineStepRecord::guard_outer_iterations`: the guard is an
-    /// independent solve a deployment can push onto an idle core.
+    /// in `OnlineStepRecord::guard_outer_iterations`. The guard is not an
+    /// independent solve: it shares the request's one Stage-1 solve with
+    /// the warm solve and any fallback.
     pub guard_outer_iterations: usize,
     /// The solve report (bit-identical to the cached one on exact hits).
     pub report: SolveReport,

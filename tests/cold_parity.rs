@@ -13,10 +13,15 @@
 //!    and seed.
 //! 2. **Pruning on vs off**: dominated-start early termination must never
 //!    change the multi-start winner — the two runs must agree bit-for-bit.
+//! 3. Against **warm-path goldens**: the serving path and objective bits and
+//!    the variable fingerprint of drifted requests that one `SolveService`
+//!    answers off its cached anchors, so a change to the warm solve, the
+//!    single-start floor guard or the cold fallback must serve the same
+//!    bits.
 //!
-//! Regenerate the golden table after an *intentional* numeric change with
+//! Regenerate the golden tables after an *intentional* numeric change with
 //! `cargo test --test cold_parity -- --ignored --nocapture regenerate` and
-//! paste the printed rows over `GOLDENS`.
+//! paste the printed rows over `GOLDENS` and `WARM_GOLDENS`.
 
 use quhe::prelude::*;
 
@@ -104,6 +109,76 @@ const GOLDENS: [(&str, u64, u64, u64); 10] = [
     ("bursty_workload", 7, 0x3fb7fffff2205810, 0x0fd9da199dd4634f),
 ];
 
+/// `(world, seed, drift step, cache tag, objective bits, variable
+/// fingerprint)` of the drifted requests of [`warm_responses`], captured
+/// before the warm path's three solves shared one Stage-1 solve. The
+/// readable objective is in the comment, and the rows stay one per line, as
+/// `regenerate_warm_goldens` prints them.
+#[rustfmt::skip]
+const WARM_GOLDENS: [(&str, u64, usize, &str, u64, u64); 20] = [
+    // paper_default/42 step 1: objective -0.1519348595551031
+    ("paper_default", 42, 1, "warm", 0xbfc37299fa74acb8, 0x65d1f3fafb469f0f),
+    // paper_default/42 step 2: objective -0.15231701030775796
+    ("paper_default", 42, 2, "warm", 0xbfc37f1fb0f2ba76, 0xe5399227c2459457),
+    // paper_default/7 step 1: objective -0.0484818081555059
+    ("paper_default", 7, 1, "warm", 0xbfa8d29b88f52b08, 0x6f636109821e490d),
+    // paper_default/7 step 2: objective -0.04288784015414837
+    ("paper_default", 7, 2, "warm_fallback", 0xbfa5f5651db75e80, 0x9a0016765a744034),
+    // dense_cell/42 step 1: objective 7.160487711641193
+    ("dense_cell", 42, 1, "warm", 0x401ca456e403a29d, 0x48023f5bc030aaa1),
+    // dense_cell/42 step 2: objective 7.160807481809662
+    ("dense_cell", 42, 2, "warm", 0x401ca4aab76d4c67, 0x14ea4d133cde4f4c),
+    // dense_cell/7 step 1: objective 7.341929839272648
+    ("dense_cell", 7, 1, "warm", 0x401d5e22db14cf6c, 0x452319a18541973c),
+    // dense_cell/7 step 2: objective 7.341509339918501
+    ("dense_cell", 7, 2, "warm", 0x401d5db49fd8e9fe, 0x736618e8dbbc6da8),
+    // heterogeneous_devices/42 step 1: objective -0.11496853999776457
+    ("heterogeneous_devices", 42, 1, "warm_fallback", 0xbfbd6e94075bf8e8, 0xbf25affc2a3a9128),
+    // heterogeneous_devices/42 step 2: objective -0.11508768250640378
+    ("heterogeneous_devices", 42, 2, "warm", 0xbfbd7662e8899560, 0x095c8ca1bb748e5d),
+    // heterogeneous_devices/7 step 1: objective 2.044033459581688
+    ("heterogeneous_devices", 7, 1, "warm", 0x40005a2e36e6aa2a, 0x9b75ae3acc6ad6ea),
+    // heterogeneous_devices/7 step 2: objective 2.044178539780039
+    ("heterogeneous_devices", 7, 2, "warm", 0x40005a7a473c528a, 0xea00f14d5fe7a1cf),
+    // far_edge/42 step 1: objective -33.22247895966254
+    ("far_edge", 42, 1, "warm_fallback", 0xc0409c7a30c7e63c, 0x072fa3197aa06467),
+    // far_edge/42 step 2: objective -33.19009784664432
+    ("far_edge", 42, 2, "warm", 0xc04098552051304e, 0x6f1fe910df8efe86),
+    // far_edge/7 step 1: objective -12.021925893685154
+    ("far_edge", 7, 1, "warm_fallback", 0xc0280b39dee8a06a, 0xc8b89407372916c1),
+    // far_edge/7 step 2: objective -11.930588431362478
+    ("far_edge", 7, 2, "warm_fallback", 0xc027dc76163d79bf, 0xd59991b1da874c6c),
+    // bursty_workload/42 step 1: objective 1.2016976138935882
+    ("bursty_workload", 42, 1, "warm", 0x3ff33a2746f5aaca, 0x3d1ad1fcebeaf161),
+    // bursty_workload/42 step 2: objective 1.197741638719993
+    ("bursty_workload", 42, 2, "warm", 0x3ff329f322f5c1d0, 0x9cd4899927ed13d5),
+    // bursty_workload/7 step 1: objective 0.5946793509418336
+    ("bursty_workload", 7, 1, "warm_fallback", 0x3fe3079cfd7cda94, 0x5b64708be0d9f9db),
+    // bursty_workload/7 step 2: objective 0.5778932877698243
+    ("bursty_workload", 7, 2, "warm", 0x3fe27e1a107193f7, 0x875246f471890a70),
+];
+
+/// Sends, through one service at [`config`], each catalogue world's request
+/// at each seed followed by its drift steps 1 and 2, and returns the drifted
+/// requests' responses with their world, seed and step. The catalogue
+/// request anchors the world, so every drifted request takes the warm path.
+fn warm_responses() -> Vec<(String, u64, usize, SolveResponse)> {
+    let service = ServiceConfig::new(config()).build();
+    let mut responses = Vec::new();
+    for name in ScenarioCatalog::builtin().names() {
+        for seed in SEEDS {
+            service.handle(&SolveRequest::catalog(name, seed)).unwrap();
+            for step in 1..=2 {
+                let response = service
+                    .handle(&SolveRequest::drifted(name, seed, step))
+                    .unwrap();
+                responses.push((name.to_string(), seed, step, response));
+            }
+        }
+    }
+    responses
+}
+
 fn cold_report(name: &str, seed: u64, spec: &SolveSpec) -> SolveReport {
     let scenario = ScenarioCatalog::builtin().generate(name, seed).unwrap();
     SolverRegistry::builtin_with(config())
@@ -127,6 +202,45 @@ fn cold_solves_match_pre_optimization_goldens() {
             fingerprint(&report.variables),
             vars_fingerprint,
             "{name}/{seed}: variables drifted from the pre-optimization build",
+        );
+    }
+}
+
+#[test]
+fn warm_served_drift_steps_match_their_goldens() {
+    let responses = warm_responses();
+    assert_eq!(responses.len(), WARM_GOLDENS.len());
+    for ((name, seed, step, response), golden) in responses.iter().zip(WARM_GOLDENS) {
+        let (golden_name, golden_seed, golden_step, tag, objective_bits, vars_fingerprint) = golden;
+        assert_eq!(
+            (name.as_str(), *seed, *step),
+            (golden_name, golden_seed, golden_step)
+        );
+        let report = &response.report;
+        assert_eq!(
+            response.cache.tag(),
+            tag,
+            "{name}/{seed} step {step}: served on another path"
+        );
+        assert_eq!(
+            report.objective.to_bits(),
+            objective_bits,
+            "{name}/{seed} step {step}: objective drifted (got {:?} = {:#018x})",
+            report.objective,
+            report.objective.to_bits(),
+        );
+        assert_eq!(
+            fingerprint(&report.variables),
+            vars_fingerprint,
+            "{name}/{seed} step {step}: variables drifted",
+        );
+    }
+    // The table exercises both warm-path outcomes: a kept warm solve and a
+    // cold fallback.
+    for tag in ["warm", "warm_fallback"] {
+        assert!(
+            WARM_GOLDENS.iter().any(|golden| golden.3 == tag),
+            "no {tag} row"
         );
     }
 }
@@ -190,5 +304,23 @@ fn regenerate_goldens() {
                 fingerprint(&report.variables),
             );
         }
+    }
+}
+
+/// Prints the warm-path golden table for pasting into `WARM_GOLDENS` after
+/// an intentional numeric change. Run with
+/// `cargo test --test cold_parity -- --ignored --nocapture regenerate`.
+#[test]
+#[ignore = "golden regeneration helper, not a check"]
+fn regenerate_warm_goldens() {
+    for (name, seed, step, response) in warm_responses() {
+        let report = &response.report;
+        println!(
+            "    // {name}/{seed} step {step}: objective {:?}\n    (\"{name}\", {seed}, {step}, \"{}\", {:#018x}, {:#018x}),",
+            report.objective,
+            response.cache.tag(),
+            report.objective.to_bits(),
+            fingerprint(&report.variables),
+        );
     }
 }
