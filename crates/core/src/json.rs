@@ -214,7 +214,11 @@ impl JsonValue {
         out
     }
 
-    fn write_pretty(&self, out: &mut String, depth: usize) {
+    /// Appends this value as [`JsonValue::to_pretty_string`] writes it
+    /// nested `depth` containers deep: continuation lines are indented
+    /// `depth` levels and no newline follows. Text written at the depth of a
+    /// field can be spliced into a pretty document in that field's place.
+    pub fn write_pretty(&self, out: &mut String, depth: usize) {
         match self {
             JsonValue::Array(items) if !items.is_empty() => {
                 // Arrays of scalars stay on one line; arrays holding any

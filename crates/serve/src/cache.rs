@@ -4,8 +4,10 @@
 //! fingerprints of [`quhe_core::fingerprint`]:
 //!
 //! * **exact** — the full [`Fingerprint`] plus the solver name plus the
-//!   canonical spec key. A hit returns the stored [`SolveReport`] clone
-//!   bit-identically (including its original `runtime_s` — the cache never
+//!   canonical spec key. A hit shares the stored entry and the report's wire
+//!   bytes, which the cache renders once when the report is stored: every
+//!   hit's report is bit-identical to the first response's by
+//!   construction, including its original `runtime_s` (the cache never
 //!   rewrites a report). Because distinct scenarios could in principle
 //!   collide on a 128-bit digest, every hit also verifies full
 //!   [`SystemScenario`] equality: a collision degrades to a miss, never to a
@@ -42,8 +44,11 @@
 //! originals and fingerprints are recomputed and verified on load.
 //!
 //! Workers share one cache behind a [`parking_lot`] mutex — lookups and
-//! inserts are index operations (the heavy solver work happens outside the
-//! lock), so contention stays negligible next to a solve.
+//! inserts are index operations (the heavy solver work and the report's
+//! rendering happen outside the lock; a lookup clones two `Arc`s under it),
+//! so contention stays negligible next to a solve. The rendered bytes are
+//! about 4–16 KB per entry for the catalogue worlds, so at most about 16 MB
+//! at the default capacity of 1024 entries.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -54,6 +59,8 @@ use quhe_core::fingerprint::Fingerprint;
 use quhe_core::json::JsonValue;
 use quhe_core::scenario::SystemScenario;
 use quhe_core::solver::SolveReport;
+
+use crate::wire;
 
 /// Schema tag of the cache snapshot JSON ([`ScenarioCache::snapshot`]).
 /// Bump it whenever the snapshot layout changes; [`ScenarioCache::restore`]
@@ -156,13 +163,25 @@ impl CacheStats {
     }
 }
 
+/// An entry as the cache stores it: the shared entry and its report's wire
+/// bytes, rendered once when the entry was stored.
+#[derive(Debug, Clone)]
+pub(crate) struct Stored {
+    pub(crate) entry: Arc<CacheEntry>,
+    /// The entry's report rendered by [`wire::render_report`]: the bytes
+    /// every `quhe-serve/v2` response for this entry carries at
+    /// `result.report`.
+    pub(crate) report_json: Arc<str>,
+}
+
 type NodeId = u64;
 
-/// One cached entry with its last-use stamp: its key in the recency order,
-/// and what ranks anchors within a bucket.
+/// One cached entry with its rendered report and its last-use stamp: its
+/// key in the recency order, and what ranks anchors within a bucket.
 #[derive(Debug)]
 struct Node {
     entry: Arc<CacheEntry>,
+    report_json: Arc<str>,
     last_used: u64,
 }
 
@@ -310,8 +329,10 @@ impl ScenarioCache {
     }
 
     /// Exact lookup: full fingerprint, solver, spec key — and verified
-    /// scenario equality. Returns a clone of the stored report. A hit
-    /// refreshes the entry's LRU recency.
+    /// scenario equality. Returns a clone of the stored report, taken after
+    /// the cache lock is released (the service's own lookup shares the
+    /// report and its rendered bytes instead). A hit refreshes the entry's
+    /// LRU recency.
     pub fn lookup_exact(
         &self,
         fingerprint: Fingerprint,
@@ -319,6 +340,21 @@ impl ScenarioCache {
         solver: &str,
         spec_key: &str,
     ) -> Option<SolveReport> {
+        self.lookup_stored(fingerprint, scenario, solver, spec_key)
+            .map(|stored| stored.entry.report.clone())
+    }
+
+    /// [`ScenarioCache::lookup_exact`] without the copy: a hit clones the
+    /// entry's two `Arc`s under the lock, so the report and its rendered
+    /// bytes are shared with the cache. A hit refreshes the entry's LRU
+    /// recency.
+    pub(crate) fn lookup_stored(
+        &self,
+        fingerprint: Fingerprint,
+        scenario: &SystemScenario,
+        solver: &str,
+        spec_key: &str,
+    ) -> Option<Stored> {
         let mut inner = self.inner.lock();
         let hit = inner
             .by_full
@@ -333,7 +369,11 @@ impl ScenarioCache {
             Some(id) => {
                 inner.stats.exact_hits += 1;
                 inner.touch(id);
-                Some(inner.nodes[&id].entry.report.clone())
+                let node = &inner.nodes[&id];
+                Some(Stored {
+                    entry: Arc::clone(&node.entry),
+                    report_json: Arc::clone(&node.report_json),
+                })
             }
             None => {
                 inner.stats.exact_misses += 1;
@@ -407,6 +447,21 @@ impl ScenarioCache {
     /// colliding on the full fingerprint still gets its own entry instead
     /// of being locked out of the cache.
     pub fn insert(&self, entry: CacheEntry) {
+        self.store(entry);
+    }
+
+    /// [`ScenarioCache::insert`], returning `entry` shared with the cache
+    /// and its report rendered for the wire. The rendering happens before
+    /// the lock is taken, once per stored report. A duplicate that is not
+    /// re-inserted still returns its own entry and rendering, so the caller
+    /// serves the report it solved.
+    pub(crate) fn store(&self, entry: CacheEntry) -> Stored {
+        let report_json: Arc<str> = wire::render_report(&entry.report).into();
+        let entry = Arc::new(entry);
+        let stored = Stored {
+            entry: Arc::clone(&entry),
+            report_json: Arc::clone(&report_json),
+        };
         let mut inner = self.inner.lock();
         let duplicate = inner
             .by_full
@@ -432,7 +487,7 @@ impl ScenarioCache {
                     inner.enforce_anchor_cap(entry.shape.as_u128(), &entry.solver, id);
                 }
             }
-            return;
+            return stored;
         }
         while inner.nodes.len() >= self.capacity {
             inner.evict_lru();
@@ -441,14 +496,13 @@ impl ScenarioCache {
         inner.next_id += 1;
         let full_key = entry.fingerprint.as_u128();
         let shape_key = entry.shape.as_u128();
-        let solver = entry.solver.clone();
-        let is_anchor = entry.anchor;
         inner.clock += 1;
         let stamp = inner.clock;
         inner.nodes.insert(
             id,
             Node {
-                entry: Arc::new(entry),
+                entry: Arc::clone(&entry),
+                report_json,
                 last_used: stamp,
             },
         );
@@ -456,9 +510,10 @@ impl ScenarioCache {
         inner.by_full.entry(full_key).or_default().push(id);
         inner.by_shape.entry(shape_key).or_default().push(id);
         inner.stats.insertions += 1;
-        if is_anchor {
-            inner.enforce_anchor_cap(shape_key, &solver, id);
+        if entry.anchor {
+            inner.enforce_anchor_cap(shape_key, &entry.solver, id);
         }
+        stored
     }
 
     /// Serializes the full cache state to a versioned JSON tree
@@ -640,6 +695,32 @@ mod tests {
         assert_eq!(stats.exact_hits, 1);
         assert_eq!(stats.exact_misses, 3);
         assert_eq!(stats.exact_lookups(), 4);
+    }
+
+    #[test]
+    fn exact_lookups_share_the_rendering_made_when_the_report_was_stored() {
+        let cache = ScenarioCache::new(8);
+        let e = entry(1, "quhe", true);
+        let (fp, scenario, spec_key) = (e.fingerprint, e.scenario.clone(), e.spec_key.clone());
+        let expected = wire::render_report(&e.report);
+        let stored = cache.store(e);
+        assert_eq!(&*stored.report_json, expected);
+        let first = cache
+            .lookup_stored(fp, &scenario, "quhe", &spec_key)
+            .unwrap();
+        let second = cache
+            .lookup_stored(fp, &scenario, "quhe", &spec_key)
+            .unwrap();
+        // A hit that rendered its own bytes would hold a fresh allocation.
+        assert!(Arc::ptr_eq(&first.report_json, &stored.report_json));
+        assert!(Arc::ptr_eq(&second.report_json, &stored.report_json));
+        assert!(Arc::ptr_eq(&first.entry, &stored.entry));
+        // The copying lookup returns the same report.
+        let report = cache
+            .lookup_exact(fp, &scenario, "quhe", &spec_key)
+            .unwrap();
+        assert_eq!(wire::render_report(&report), expected);
+        assert_eq!(cache.stats().exact_hits, 3);
     }
 
     #[test]

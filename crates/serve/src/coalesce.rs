@@ -7,9 +7,10 @@
 //! yet. The [`Singleflight`] table closes that gap: the first request for a
 //! `(fingerprint, solver, spec key)` triple becomes the **leader** and
 //! solves; every identical request arriving while the leader is in flight
-//! becomes a **follower** that blocks on the leader's flight and receives
-//! the bit-identical [`SolveReport`] the moment it is published. N identical
-//! concurrent requests therefore trigger exactly one solve.
+//! becomes a **follower** that blocks on the leader's flight and shares the
+//! leader's stored report and its rendered bytes the moment they are
+//! published. N identical concurrent requests therefore trigger exactly one
+//! solve and one rendering.
 //!
 //! The table holds only in-flight keys: a published flight is removed
 //! immediately, so later identical requests are served by the cache (an
@@ -22,9 +23,8 @@ use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use quhe_core::error::{QuheError, QuheResult};
-use quhe_core::fingerprint::Fingerprint;
-use quhe_core::solver::SolveReport;
 
+use crate::cache::Stored;
 use crate::service::CacheOutcome;
 
 /// The identity under which concurrent requests coalesce: the same triple
@@ -45,12 +45,9 @@ pub struct FlightKey {
 pub struct FlightResult {
     /// How the leader's own response was produced.
     pub leader_outcome: CacheOutcome,
-    /// Full content fingerprint of the resolved scenario.
-    pub fingerprint: Fingerprint,
-    /// Shape fingerprint of the resolved scenario.
-    pub shape_fingerprint: Fingerprint,
-    /// The leader's report, cloned bit-identically to every follower.
-    pub report: SolveReport,
+    /// The leader's entry (with the scenario's fingerprints and the report)
+    /// and its rendered report bytes, shared with every follower.
+    pub(crate) stored: Stored,
 }
 
 /// A flight's published outcome: the leader's result or its error.
@@ -195,6 +192,7 @@ mod tests {
     }
 
     fn result() -> FlightResult {
+        use crate::cache::{CacheEntry, ScenarioCache};
         use quhe_core::params::QuheConfig;
         use quhe_core::scenario::SystemScenario;
         use quhe_core::solver::{QuheSolver, SolveSpec, Solver};
@@ -205,13 +203,19 @@ mod tests {
             solver_threads: 1,
             ..QuheConfig::default()
         };
+        let spec = SolveSpec::single_start();
+        let report = QuheSolver::new(config).solve(&scenario, &spec).unwrap();
         FlightResult {
             leader_outcome: CacheOutcome::Cold,
-            fingerprint: scenario.fingerprint(),
-            shape_fingerprint: scenario.shape_fingerprint(),
-            report: QuheSolver::new(config)
-                .solve(&scenario, &SolveSpec::single_start())
-                .unwrap(),
+            stored: ScenarioCache::new(1).store(CacheEntry {
+                fingerprint: scenario.fingerprint(),
+                shape: scenario.shape_fingerprint(),
+                scenario,
+                solver: "quhe".to_string(),
+                spec_key: spec.to_json_value().to_compact_string(),
+                report,
+                anchor: false,
+            }),
         }
     }
 

@@ -35,18 +35,22 @@
 //!   connection closes.
 //! * **Panics**: a solve that panics is answered with a retryable
 //!   `overloaded` envelope, and its worker carries on with the next job.
+//! * **Slow readers**: a response frame not written within
+//!   [`WRITE_TIMEOUT`] fails, and a failed write shuts the connection down,
+//!   so a client that stops reading costs a worker at most that long instead
+//!   of for good, and never receives a frame after a half-written one.
 //! * **Graceful shutdown**: [`TcpServer::shutdown`] stops accepting,
 //!   unwinds the readers, drains the queue, answers everything already
 //!   admitted, then joins the workers.
 
 use std::collections::VecDeque;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, IoSlice, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use quhe_core::error::QuheError;
 
@@ -58,15 +62,43 @@ use crate::wire::{self, FrameDecoder, Protocol};
 /// re-checking the shutdown flag — the upper bound on shutdown latency.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
+/// How long writing one response frame may take before it fails and the
+/// connection is shut down — the longest a client that stops reading can
+/// hold the worker writing to it.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Recovers a `std` lock from a poisoned state (plain data behind it).
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The write side of one connection, shared by its reader thread (which
+/// writes rejection and shed envelopes) and the workers answering its
+/// requests.
+struct ConnWriter {
+    stream: Mutex<TcpStream>,
+    /// Set once a write failed and the connection was shut down: its reader
+    /// stops reading, and workers drop its queued requests unanswered.
+    closed: AtomicBool,
+}
+
+impl ConnWriter {
+    fn new(stream: TcpStream) -> Self {
+        Self {
+            stream: Mutex::new(stream),
+            closed: AtomicBool::new(false),
+        }
+    }
+
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::SeqCst)
+    }
+}
+
 /// One admitted request: everything a worker needs to answer it.
 struct Job {
     request: SolveRequest,
-    writer: Arc<Mutex<TcpStream>>,
+    writer: Arc<ConnWriter>,
 }
 
 #[derive(Default)]
@@ -199,13 +231,64 @@ impl Shared {
     /// write: a client may read the frame the moment its bytes reach the
     /// socket, and a snapshot taken after that must already include it. A
     /// failed write takes its count back — the client may already be gone,
-    /// which is its prerogative, and nothing was delivered.
-    fn respond(&self, writer: &Mutex<TcpStream>, body: &str) {
+    /// which is its prerogative, and nothing was delivered. A failed or
+    /// timed-out write ([`WRITE_TIMEOUT`]) may have left part of the frame
+    /// on the wire, so it also shuts the connection down and marks it
+    /// closed: no frame can follow the broken one, and the connection's
+    /// reader exits.
+    fn respond(&self, writer: &ConnWriter, body: &str) {
+        if writer.is_closed() {
+            return;
+        }
         self.count(|c| c.responses += 1);
-        if wire::write_frame(&mut *lock(writer), body.as_bytes()).is_err() {
+        let mut stream = lock(&writer.stream);
+        if write_frame_within(&mut stream, body.as_bytes()).is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+            writer.closed.store(true, Ordering::SeqCst);
+            drop(stream);
             self.count(|c| c.responses -= 1);
         }
     }
+}
+
+/// Writes one frame to a connection whose write timeout is
+/// [`WRITE_TIMEOUT`], failing once the frame has taken that long in all.
+/// Header and payload go out in one vectored write, and the common case is
+/// that one call. After a partial write the socket's timeout shrinks to the
+/// time left: a client whose kernel reopens its receive window a little at a
+/// time, while the client itself reads nothing, would otherwise stretch one
+/// frame over many timeouts.
+fn write_frame_within(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
+    let header = wire::frame_header(payload, wire::MAX_FRAME_BYTES)?;
+    let total = header.len() + payload.len();
+    let deadline = Instant::now() + WRITE_TIMEOUT;
+    let mut sent = 0usize;
+    let mut shortened = false;
+    loop {
+        let written = match sent.checked_sub(header.len()) {
+            None => stream.write_vectored(&[IoSlice::new(&header[sent..]), IoSlice::new(payload)]),
+            Some(at) => stream.write(&payload[at..]),
+        };
+        match written {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if sent == total {
+            break;
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        shortened = true;
+    }
+    if shortened {
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    }
+    Ok(())
 }
 
 /// A running framed-TCP front end over a shared [`SolveService`].
@@ -411,23 +494,25 @@ fn take_finished(connections: &Mutex<Vec<JoinHandle<()>>>) -> Vec<JoinHandle<()>
 }
 
 fn connection_loop(stream: TcpStream, shared: &Shared) {
-    // The accepted stream must block (with a timeout so shutdown is
-    // observed) even though the listener is non-blocking.
+    // The accepted stream must block (with a read timeout so shutdown is
+    // observed, and a write timeout so a client that stops reading cannot
+    // hold a worker) even though the listener is non-blocking.
     if stream.set_nonblocking(false).is_err()
         || stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
     {
         return;
     }
     let _ = stream.set_nodelay(true);
     let writer = match stream.try_clone() {
-        Ok(clone) => Arc::new(Mutex::new(clone)),
+        Ok(clone) => Arc::new(ConnWriter::new(clone)),
         Err(_) => return,
     };
     let mut reader = stream;
     let mut decoder = FrameDecoder::default();
     let mut chunk = [0u8; 16 * 1024];
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.shutdown.load(Ordering::SeqCst) || writer.is_closed() {
             return;
         }
         match reader.read(&mut chunk) {
@@ -456,8 +541,9 @@ fn connection_loop(stream: TcpStream, shared: &Shared) {
 }
 
 /// Takes every complete frame out of the decoder: parse, admit or shed.
-fn drain_frames(decoder: &mut FrameDecoder, writer: &Arc<Mutex<TcpStream>>, shared: &Shared) {
-    loop {
+fn drain_frames(decoder: &mut FrameDecoder, writer: &Arc<ConnWriter>, shared: &Shared) {
+    // A connection shut down by a failed write takes no more requests.
+    while !writer.is_closed() {
         match decoder.next_frame() {
             Ok(None) => return,
             Ok(Some(frame)) => {
@@ -477,7 +563,7 @@ fn drain_frames(decoder: &mut FrameDecoder, writer: &Arc<Mutex<TcpStream>>, shar
     }
 }
 
-fn handle_frame(frame: &[u8], writer: &Arc<Mutex<TcpStream>>, shared: &Shared) {
+fn handle_frame(frame: &[u8], writer: &Arc<ConnWriter>, shared: &Shared) {
     let text = match std::str::from_utf8(frame) {
         Ok(text) => text,
         Err(_) => {
@@ -537,20 +623,22 @@ fn worker_loop(shared: &Shared) {
         let Some(job) = job else {
             continue; // timed out waiting; re-check for closure
         };
+        if job.writer.is_closed() {
+            continue; // nobody can read the answer
+        }
         let id = job.request.id.clone();
         // A panicking solve must cost neither this worker nor the client's
         // reply: it gets the retryable error that the coalesced followers
         // of an unwound leader get.
-        let handled = panic::catch_unwind(AssertUnwindSafe(|| shared.service.handle(&job.request)))
-            .unwrap_or_else(|_| {
-                Err(QuheError::Overloaded {
-                    reason: "the solve panicked before answering; retry".to_string(),
-                })
-            });
-        let body = match handled {
-            Ok(response) => wire::ok_envelope(Protocol::V2, &response),
-            Err(e) => wire::error_envelope(Protocol::V2, id.as_deref(), &e),
-        };
+        let handled =
+            panic::catch_unwind(AssertUnwindSafe(|| shared.service.handle_v2(&job.request)))
+                .unwrap_or_else(|_| {
+                    Err(QuheError::Overloaded {
+                        reason: "the solve panicked before answering; retry".to_string(),
+                    })
+                });
+        let body =
+            handled.unwrap_or_else(|e| wire::error_envelope(Protocol::V2, id.as_deref(), &e));
         shared.respond(&job.writer, &body);
     }
 }
@@ -569,7 +657,7 @@ mod tests {
         let client = TcpStream::connect(addr).unwrap();
         Job {
             request: SolveRequest::catalog("paper_default", 1),
-            writer: Arc::new(Mutex::new(client)),
+            writer: Arc::new(ConnWriter::new(client)),
         }
     }
 

@@ -7,9 +7,13 @@
 //! 1. **Exact hit** — the resolved scenario's full fingerprint, the solver
 //!    name and the canonical spec key match a cached entry (with scenario
 //!    equality verified): the cached [`SolveReport`] is returned
-//!    bit-identically with zero solver work. The report keeps the
-//!    `runtime_s` of the solve that produced it; the lookup's own wall goes
-//!    to [`SolveResponse::service_wall_s`].
+//!    bit-identically with zero solver work, and the shape fingerprint is
+//!    read from the entry. A `quhe-serve/v2` response splices in the report
+//!    bytes the cache rendered when it stored the report, so a hit renders
+//!    nothing and its report bytes equal the first response's by
+//!    construction. The report keeps
+//!    the `runtime_s` of the solve that produced it; the lookup's own wall
+//!    goes to [`SolveResponse::service_wall_s`].
 //! 2. **Warm near miss** — no exact hit, but a cached *anchor* (a cold
 //!    multi-start solve) shares the scenario's shape fingerprint: the
 //!    nearest such anchor by the pinned drift distance (see
@@ -26,9 +30,13 @@
 //! 3. **Cold** — no reusable state: the request is solved as specified and
 //!    cached for future requests.
 //!
-//! The TCP front end's workers call [`SolveService::handle`] concurrently on
-//! one shared service: they share one cache, and concurrent identical
-//! misses coalesce to one solve.
+//! Warm, fallback and cold responses carry the bytes their own insert
+//! rendered, and coalesced followers the leader's.
+//!
+//! The TCP front end's workers call `SolveService::handle_v2`, the v2 path
+//! of [`SolveService::handle_json`], concurrently on one shared service:
+//! they share one cache, and concurrent identical misses coalesce to one
+//! solve.
 
 use std::time::Instant;
 
@@ -44,12 +52,12 @@ use quhe_core::solver::{InstrumentationLevel, SolveReport, SolveSpec, SolverRegi
 use quhe_mec::scenario::MecScenario;
 use quhe_qkd::topology::synthetic_scenario;
 
-use crate::cache::{CacheEntry, CacheStats, ScenarioCache};
+use crate::cache::{CacheEntry, CacheStats, ScenarioCache, Stored};
 use crate::coalesce::{FlightKey, FlightResult, Join, Singleflight};
 use crate::request::{
     InlineScenario, ScenarioSpec, SolveRequest, MAX_FULL_INSTRUMENTATION_CLIENTS,
 };
-use crate::wire;
+use crate::wire::{self, Protocol};
 
 /// Per-step relative drift amplitude of the serve protocol's fixed drift
 /// model (applied to both MEC channel gains and QKD key rates by
@@ -151,33 +159,110 @@ fn malformed(detail: &str) -> QuheError {
     }
 }
 
-impl SolveResponse {
-    /// Serializes to the response JSON object.
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::object()
-            .with(
-                "id",
-                self.id
-                    .as_ref()
-                    .map_or(JsonValue::Null, |id| JsonValue::String(id.clone())),
-            )
-            .with("solver", JsonValue::String(self.solver.clone()))
-            .with("cache", JsonValue::String(self.cache.tag().to_string()))
-            .with("fingerprint", JsonValue::String(self.fingerprint.to_hex()))
-            .with(
+/// A response's serving metadata: every field of [`SolveResponse`] but the
+/// report, which the v2 envelope writes from the cache's rendered bytes.
+#[derive(Debug, Clone)]
+pub(crate) struct ResponseHead {
+    pub(crate) id: Option<String>,
+    pub(crate) solver: String,
+    pub(crate) cache: CacheOutcome,
+    pub(crate) fingerprint: Fingerprint,
+    pub(crate) shape_fingerprint: Fingerprint,
+    pub(crate) service_wall_s: f64,
+    pub(crate) path_outer_iterations: usize,
+    pub(crate) guard_outer_iterations: usize,
+}
+
+impl ResponseHead {
+    /// The request id as JSON (`null` when the request had none).
+    pub(crate) fn id_value(&self) -> JsonValue {
+        self.id
+            .as_ref()
+            .map_or(JsonValue::Null, |id| JsonValue::String(id.clone()))
+    }
+
+    /// The response object's fields before `report`, in wire order.
+    pub(crate) fn fields(&self) -> [(&'static str, JsonValue); 8] {
+        [
+            ("id", self.id_value()),
+            ("solver", JsonValue::String(self.solver.clone())),
+            ("cache", JsonValue::String(self.cache.tag().to_string())),
+            ("fingerprint", JsonValue::String(self.fingerprint.to_hex())),
+            (
                 "shape_fingerprint",
                 JsonValue::String(self.shape_fingerprint.to_hex()),
-            )
-            .with("service_wall_s", JsonValue::from_f64(self.service_wall_s))
-            .with(
+            ),
+            ("service_wall_s", JsonValue::from_f64(self.service_wall_s)),
+            (
                 "path_outer_iterations",
                 JsonValue::from_usize(self.path_outer_iterations),
-            )
-            .with(
+            ),
+            (
                 "guard_outer_iterations",
                 JsonValue::from_usize(self.guard_outer_iterations),
-            )
-            .with("report", self.report.to_json_value())
+            ),
+        ]
+    }
+}
+
+/// One served request: the response's head, and the report shared with the
+/// cache together with the bytes rendered when it was stored.
+struct Served {
+    head: ResponseHead,
+    stored: Stored,
+}
+
+impl Served {
+    fn into_response(self) -> SolveResponse {
+        let ResponseHead {
+            id,
+            solver,
+            cache,
+            fingerprint,
+            shape_fingerprint,
+            service_wall_s,
+            path_outer_iterations,
+            guard_outer_iterations,
+        } = self.head;
+        SolveResponse {
+            id,
+            solver,
+            cache,
+            fingerprint,
+            shape_fingerprint,
+            service_wall_s,
+            path_outer_iterations,
+            guard_outer_iterations,
+            report: self.stored.entry.report.clone(),
+        }
+    }
+}
+
+impl SolveResponse {
+    /// Every field but the report.
+    pub(crate) fn head(&self) -> ResponseHead {
+        ResponseHead {
+            id: self.id.clone(),
+            solver: self.solver.clone(),
+            cache: self.cache,
+            fingerprint: self.fingerprint,
+            shape_fingerprint: self.shape_fingerprint,
+            service_wall_s: self.service_wall_s,
+            path_outer_iterations: self.path_outer_iterations,
+            guard_outer_iterations: self.guard_outer_iterations,
+        }
+    }
+
+    /// Serializes to the response JSON object.
+    pub fn to_json_value(&self) -> JsonValue {
+        let mut fields: Vec<(String, JsonValue)> = self
+            .head()
+            .fields()
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect();
+        fields.push(("report".to_string(), self.report.to_json_value()));
+        JsonValue::Object(fields)
     }
 
     /// Serializes to a pretty-printed JSON string.
@@ -565,9 +650,28 @@ impl SolveService {
     /// # Errors
     /// Resolution failures, unknown solver names and solver errors.
     pub fn handle(&self, request: &SolveRequest) -> QuheResult<SolveResponse> {
+        self.serve(request).map(Served::into_response)
+    }
+
+    /// Handles one request like [`SolveService::handle`] and writes its
+    /// `quhe-serve/v2` success envelope with the report bytes the cache
+    /// rendered when it stored the report: an exact hit renders nothing and
+    /// copies no report. The TCP front end's workers answer through it.
+    ///
+    /// # Errors
+    /// As [`SolveService::handle`]; the caller writes the error envelope.
+    pub(crate) fn handle_v2(&self, request: &SolveRequest) -> QuheResult<String> {
+        let served = self.serve(request)?;
+        Ok(wire::ok_envelope_v2(
+            &served.head,
+            &served.stored.report_json,
+        ))
+    }
+
+    fn serve(&self, request: &SolveRequest) -> QuheResult<Served> {
         let wall = Instant::now();
         let scenario = self.resolve_scenario(&request.scenario)?;
-        self.handle_resolved(
+        self.serve_resolved(
             request.id.clone(),
             &scenario,
             &request.solver,
@@ -576,14 +680,14 @@ impl SolveService {
         )
     }
 
-    fn handle_resolved(
+    fn serve_resolved(
         &self,
         id: Option<String>,
         scenario: &SystemScenario,
         solver_name: &str,
         spec: &SolveSpec,
         wall: Instant,
-    ) -> QuheResult<SolveResponse> {
+    ) -> QuheResult<Served> {
         // Resolve the solver name and bound the solve's work before anything
         // else, so a rejected request fails fast without touching the cache
         // or the flight table.
@@ -602,28 +706,30 @@ impl SolveService {
         let fingerprint = scenario.fingerprint();
         let spec_key = spec.to_json_value().to_compact_string();
 
-        // Fast path: an exact hit needs no flight — the report already
-        // exists, concurrent duplicates each read it bit-identically.
-        if let Some(report) = self
-            .cache
-            .lookup_exact(fingerprint, scenario, solver_name, &spec_key)
+        // Fast path: an exact hit needs no flight — the report and its
+        // bytes already exist, concurrent duplicates each share them.
+        if let Some(stored) =
+            self.cache
+                .lookup_stored(fingerprint, scenario, solver_name, &spec_key)
         {
             self.count(|c| c.exact_hits += 1);
-            return Ok(SolveResponse {
-                id,
-                solver: solver_name.to_string(),
-                cache: CacheOutcome::Hit,
-                fingerprint,
-                shape_fingerprint: scenario.shape_fingerprint(),
-                service_wall_s: wall.elapsed().as_secs_f64(),
-                path_outer_iterations: 0,
-                guard_outer_iterations: 0,
-                report,
+            return Ok(Served {
+                head: ResponseHead {
+                    id,
+                    solver: solver_name.to_string(),
+                    cache: CacheOutcome::Hit,
+                    fingerprint,
+                    shape_fingerprint: stored.entry.shape,
+                    service_wall_s: wall.elapsed().as_secs_f64(),
+                    path_outer_iterations: 0,
+                    guard_outer_iterations: 0,
+                },
+                stored,
             });
         }
 
         // Singleflight: identical concurrent requests elect one leader; the
-        // rest block on its flight and receive the report bit-identically.
+        // rest block on its flight and share its report and bytes.
         match self.flights.join(FlightKey {
             fingerprint: fingerprint.as_u128(),
             solver: solver_name.to_string(),
@@ -632,11 +738,9 @@ impl SolveService {
             Join::Lead(token) => {
                 let result = self.serve_slow(id, scenario, solver_name, spec, spec_key, wall);
                 token.publish(match &result {
-                    Ok(response) => Ok(FlightResult {
-                        leader_outcome: response.cache,
-                        fingerprint: response.fingerprint,
-                        shape_fingerprint: response.shape_fingerprint,
-                        report: response.report.clone(),
+                    Ok(served) => Ok(FlightResult {
+                        leader_outcome: served.head.cache,
+                        stored: served.stored.clone(),
                     }),
                     Err(e) => Err(e.clone()),
                 });
@@ -645,20 +749,22 @@ impl SolveService {
             Join::Coalesced(outcome) => {
                 let flight = outcome?;
                 self.count(|c| c.coalesced += 1);
-                Ok(SolveResponse {
-                    id,
-                    solver: solver_name.to_string(),
-                    cache: CacheOutcome::Coalesced,
-                    fingerprint: flight.fingerprint,
-                    shape_fingerprint: flight.shape_fingerprint,
-                    // The wall includes the time spent blocked on the
-                    // leader — that is what this request actually waited.
-                    service_wall_s: wall.elapsed().as_secs_f64(),
-                    // No solver work was spent on this request's behalf;
-                    // the leader's own response carries the path bill.
-                    path_outer_iterations: 0,
-                    guard_outer_iterations: 0,
-                    report: flight.report,
+                Ok(Served {
+                    head: ResponseHead {
+                        id,
+                        solver: solver_name.to_string(),
+                        cache: CacheOutcome::Coalesced,
+                        fingerprint,
+                        shape_fingerprint: flight.stored.entry.shape,
+                        // The wall includes the time spent blocked on the
+                        // leader — that is what this request actually waited.
+                        service_wall_s: wall.elapsed().as_secs_f64(),
+                        // No solver work was spent on this request's behalf;
+                        // the leader's own response carries the path bill.
+                        path_outer_iterations: 0,
+                        guard_outer_iterations: 0,
+                    },
+                    stored: flight.stored,
                 })
             }
         }
@@ -677,14 +783,14 @@ impl SolveService {
         spec: &SolveSpec,
         spec_key: String,
         wall: Instant,
-    ) -> QuheResult<SolveResponse> {
+    ) -> QuheResult<Served> {
         let solver = self.registry.resolve(solver_name)?;
         let fingerprint = scenario.fingerprint();
         let shape_fingerprint = scenario.shape_fingerprint();
 
         let respond =
-            |cache: CacheOutcome, report: SolveReport, path_iters: usize, guard_iters: usize| {
-                SolveResponse {
+            |cache: CacheOutcome, stored: Stored, path_iters: usize, guard_iters: usize| Served {
+                head: ResponseHead {
                     id: id.clone(),
                     solver: solver_name.to_string(),
                     cache,
@@ -693,17 +799,17 @@ impl SolveService {
                     service_wall_s: wall.elapsed().as_secs_f64(),
                     path_outer_iterations: path_iters,
                     guard_outer_iterations: guard_iters,
-                    report,
-                }
+                },
+                stored,
             };
 
         // 1. Exact hit (latecomer re-check, see above).
-        if let Some(report) = self
-            .cache
-            .lookup_exact(fingerprint, scenario, solver_name, &spec_key)
+        if let Some(stored) =
+            self.cache
+                .lookup_stored(fingerprint, scenario, solver_name, &spec_key)
         {
             self.count(|c| c.exact_hits += 1);
-            return Ok(respond(CacheOutcome::Hit, report, 0, 0));
+            return Ok(respond(CacheOutcome::Hit, stored, 0, 0));
         }
 
         // 2. Warm near miss: only for plain cold requests to a warm-capable
@@ -728,18 +834,18 @@ impl SolveService {
                 // the from-scratch cold multi-start fallback — a fresher
                 // converged anchor than the one that just lost; warm and
                 // floor winners never re-anchor.
-                self.cache.insert(CacheEntry {
+                let stored = self.cache.store(CacheEntry {
                     scenario: scenario.clone(),
                     fingerprint,
                     shape: shape_fingerprint,
                     solver: solver_name.to_string(),
                     spec_key,
-                    report: warm.report.clone(),
+                    report: warm.report,
                     anchor: warm.cold_won && spec.multi_start(),
                 });
                 return Ok(respond(
                     outcome,
-                    warm.report,
+                    stored,
                     warm.path_outer_iterations,
                     warm.guard_outer_iterations,
                 ));
@@ -749,18 +855,18 @@ impl SolveService {
         // 3. Cold: solve as requested and cache.
         let report = solver.solve(scenario, spec)?;
         self.count(|c| c.cold_solves += 1);
-        self.cache.insert(CacheEntry {
+        let path_iters = report.outer_iterations;
+        let stored = self.cache.store(CacheEntry {
             scenario: scenario.clone(),
             fingerprint,
             shape: shape_fingerprint,
             solver: solver_name.to_string(),
             spec_key,
-            report: report.clone(),
+            report,
             // Only full cold multi-start solves anchor warm chains.
             anchor: matches!(spec.start(), StartMode::Cold) && spec.multi_start(),
         });
-        let path_iters = report.outer_iterations;
-        Ok(respond(CacheOutcome::Cold, report, path_iters, 0))
+        Ok(respond(CacheOutcome::Cold, stored, path_iters, 0))
     }
 
     /// Handles a JSON request string, returning a JSON response string —
@@ -769,20 +875,24 @@ impl SolveService {
     ///
     /// The response shape follows the request's protocol version: a
     /// `quhe-serve/v2` body is answered with the v2 envelope (`ok`
-    /// discriminator, stable `error.kind`), a legacy unversioned v1 body
-    /// with the deprecated v1 shapes (the plain response object, or
-    /// `{"id", "error": "<message>"}`), so existing callers keep working.
-    /// See [`crate::wire`] for both shapes.
+    /// discriminator, stable `error.kind`), its report spliced in from the
+    /// bytes the cache rendered when it stored the report; a legacy
+    /// unversioned v1 body with the deprecated v1 shapes (the plain
+    /// response object, or `{"id", "error": "<message>"}`), so existing
+    /// callers keep working. See [`crate::wire`] for both shapes.
     pub fn handle_json(&self, text: &str) -> String {
         let (proto, id, request) = wire::parse_request(text);
         let request = match request {
             Ok(request) => request,
             Err(e) => return wire::error_envelope(proto, id.as_deref(), &e),
         };
-        match self.handle(&request) {
-            Ok(response) => wire::ok_envelope(proto, &response),
-            Err(e) => wire::error_envelope(proto, request.id.as_deref(), &e),
-        }
+        let body = match proto {
+            Protocol::V1 => self
+                .handle(&request)
+                .map(|response| wire::ok_envelope(proto, &response)),
+            Protocol::V2 => self.handle_v2(&request),
+        };
+        body.unwrap_or_else(|e| wire::error_envelope(proto, request.id.as_deref(), &e))
     }
 }
 

@@ -31,6 +31,12 @@
 //!  "error": {"kind": "overloaded", "message": "..."}}
 //! ```
 //!
+//! `result` is the [`SolveResponse`] object. Its last field, `report`, is
+//! written from bytes the cache rendered once, when it stored the report,
+//! so every response for a cache entry carries the same report bytes
+//! without re-rendering them. `service_wall_s` sits in `result`'s head and
+//! never in those bytes.
+//!
 //! `error.kind` is the stable tag of [`QuheError::kind`] — `"overloaded"`
 //! is the shed-load signal (back off and retry), `"invalid_request"` a
 //! malformed body. A body without `"proto"` is a **v1** request
@@ -43,9 +49,10 @@ use std::io::{self, Read, Write};
 
 use quhe_core::error::{QuheError, QuheResult};
 use quhe_core::json::JsonValue;
+use quhe_core::solver::SolveReport;
 
 use crate::request::SolveRequest;
-use crate::service::SolveResponse;
+use crate::service::{ResponseHead, SolveResponse};
 
 /// The current protocol identifier, carried in every v2 body.
 pub const PROTOCOL_V2: &str = "quhe-serve/v2";
@@ -129,24 +136,71 @@ pub fn parse_request(text: &str) -> (Protocol, Option<String>, QuheResult<SolveR
     (proto, id, request)
 }
 
+/// How deep the v2 success envelope nests the report: at `result.report`.
+const REPORT_DEPTH: usize = 2;
+
+/// Renders `report` exactly as the v2 success envelope nests it at
+/// `result.report`. The cache renders each report once, when it is stored
+/// ([`ScenarioCache::store`](crate::cache::ScenarioCache::store)), and every
+/// v2 response for that entry splices in the same bytes.
+pub(crate) fn render_report(report: &SolveReport) -> String {
+    let mut out = String::new();
+    report.to_json_value().write_pretty(&mut out, REPORT_DEPTH);
+    out
+}
+
 /// The success envelope for `response`, in the client's protocol version:
 /// the plain response object for v1, the `ok: true` envelope for v2.
 pub fn ok_envelope(proto: Protocol, response: &SolveResponse) -> String {
     match proto {
         Protocol::V1 => response.to_json(),
-        Protocol::V2 => JsonValue::object()
-            .with("proto", JsonValue::String(PROTOCOL_V2.to_string()))
-            .with(
-                "id",
-                response
-                    .id
-                    .as_ref()
-                    .map_or(JsonValue::Null, |id| JsonValue::String(id.clone())),
-            )
-            .with("ok", JsonValue::Bool(true))
-            .with("result", response.to_json_value())
-            .to_pretty_string(),
+        Protocol::V2 => ok_envelope_v2(&response.head(), &render_report(&response.report)),
     }
+}
+
+/// The one writer of the v2 success envelope: `head` and the report bytes
+/// of [`render_report`], laid out as `JsonValue::to_pretty_string` lays out
+/// the tree of [`SolveResponse::to_json_value`] inside the envelope, with
+/// the report as the last field of `result`.
+pub(crate) fn ok_envelope_v2(head: &ResponseHead, report_json: &str) -> String {
+    let mut out = String::with_capacity(report_json.len() + 1024);
+    out.push_str("{\n");
+    push_field(
+        &mut out,
+        1,
+        "proto",
+        &JsonValue::String(PROTOCOL_V2.to_string()),
+    );
+    push_field(&mut out, 1, "id", &head.id_value());
+    push_field(&mut out, 1, "ok", &JsonValue::Bool(true));
+    push_key(&mut out, 1, "result");
+    out.push_str("{\n");
+    for (key, value) in head.fields() {
+        push_field(&mut out, REPORT_DEPTH, key, &value);
+    }
+    push_key(&mut out, REPORT_DEPTH, "report");
+    out.push_str(report_json);
+    out.push_str("\n  }\n}\n");
+    out
+}
+
+/// Appends the indentation and the key of an object field `depth` levels
+/// deep. The keys are plain identifiers, which need no escaping.
+fn push_key(out: &mut String, depth: usize, key: &str) {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\": ");
+}
+
+/// Appends a whole object field `depth` levels deep that another field
+/// follows.
+fn push_field(out: &mut String, depth: usize, key: &str, value: &JsonValue) {
+    push_key(out, depth, key);
+    value.write_pretty(out, depth);
+    out.push_str(",\n");
 }
 
 /// The error envelope for `error`, in the client's protocol version: the
@@ -417,12 +471,11 @@ fn declared_len(buffer: &[u8]) -> usize {
     u32::from_be_bytes([buffer[0], buffer[1], buffer[2], buffer[3]]) as usize
 }
 
-/// Writes one frame: the 4-byte big-endian length prefix, then `payload`.
+/// The 4-byte big-endian length prefix of a frame carrying `payload`.
 ///
 /// # Errors
-/// `InvalidInput` when `payload` exceeds `limit` (nothing is written), else
-/// the underlying `io` errors.
-pub fn write_frame_limited(w: &mut impl Write, payload: &[u8], limit: usize) -> io::Result<()> {
+/// `InvalidInput` when `payload` exceeds `limit`.
+pub(crate) fn frame_header(payload: &[u8], limit: usize) -> io::Result<[u8; 4]> {
     if payload.len() > limit {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -435,7 +488,16 @@ pub fn write_frame_limited(w: &mut impl Write, payload: &[u8], limit: usize) -> 
     }
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large for u32"))?;
-    w.write_all(&len.to_be_bytes())?;
+    Ok(len.to_be_bytes())
+}
+
+/// Writes one frame: the 4-byte big-endian length prefix, then `payload`.
+///
+/// # Errors
+/// `InvalidInput` when `payload` exceeds `limit` (nothing is written), else
+/// the underlying `io` errors.
+pub fn write_frame_limited(w: &mut impl Write, payload: &[u8], limit: usize) -> io::Result<()> {
+    w.write_all(&frame_header(payload, limit)?)?;
     w.write_all(payload)?;
     w.flush()
 }
@@ -604,6 +666,49 @@ mod tests {
 
         let (_, _, request) = parse_request("not json at all");
         assert!(request.is_err());
+    }
+
+    #[test]
+    fn the_v2_envelope_writer_lays_out_the_response_tree() {
+        use crate::service::{CacheOutcome, ServiceConfig};
+        use quhe_core::params::QuheConfig;
+
+        let service = ServiceConfig::new(QuheConfig {
+            max_outer_iterations: 1,
+            max_stage3_iterations: 4,
+            solver_threads: 1,
+            ..QuheConfig::default()
+        })
+        .build();
+        let request = SolveRequest::catalog("paper_default", 1);
+        let cold = service.handle(&request).unwrap();
+        let mut quoted = cold.clone();
+        quoted.id = Some("q\"1\\\n".to_string());
+        quoted.cache = CacheOutcome::Hit;
+        quoted.service_wall_s = 1.5e-6;
+        for response in [&cold, &quoted] {
+            let tree = JsonValue::object()
+                .with("proto", JsonValue::String(PROTOCOL_V2.to_string()))
+                .with(
+                    "id",
+                    response
+                        .id
+                        .as_ref()
+                        .map_or(JsonValue::Null, |id| JsonValue::String(id.clone())),
+                )
+                .with("ok", JsonValue::Bool(true))
+                .with("result", response.to_json_value())
+                .to_pretty_string();
+            assert_eq!(ok_envelope(Protocol::V2, response), tree);
+        }
+        // The service's own writer splices the stored bytes into the same
+        // layout.
+        let text = service.handle_v2(&request.clone().with_id("h")).unwrap();
+        let WireReply::Ok(hit) = WireReply::from_json(&text).unwrap() else {
+            panic!("a hit is a success");
+        };
+        assert_eq!(hit.cache, CacheOutcome::Hit);
+        assert_eq!(text, ok_envelope(Protocol::V2, &hit));
     }
 
     #[test]

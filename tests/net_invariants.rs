@@ -1,18 +1,20 @@
 //! Loopback invariants of the framed TCP front end: coalescing across real
 //! connections, malformed-frame resilience, shed-load envelopes, workers that
-//! survive a panicking solve, and front-end counters that account for every
-//! reply a client has read.
+//! survive a panicking solve or a client that stops reading, repeated
+//! requests that carry the first response's report bytes, and front-end
+//! counters that account for every reply a client has read.
 //!
 //! These tests exercise the full path the repository benchmark in
 //! `perfbench/` measures: client socket → frame codec → admission queue →
 //! worker pool → `SolveService` (cache + singleflight) → response frame.
 
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use quhe::prelude::*;
+use quhe::serve::net::WRITE_TIMEOUT;
 use quhe::serve::wire::{self, read_frame};
 
 /// A fast solver configuration: single start, tight budgets, serial.
@@ -41,6 +43,17 @@ fn roundtrip(stream: &mut TcpStream, body: &str) -> WireReply {
         .expect("reading the reply frame")
         .expect("the server must answer before closing");
     WireReply::from_json(std::str::from_utf8(&frame).unwrap()).expect("parsing the reply")
+}
+
+/// The report bytes of a v2 success frame, from `"report": ` to the end:
+/// what perfbench's client compares across the responses for one key.
+fn report_bytes(frame: &[u8]) -> &[u8] {
+    let marker = b"\"report\": ";
+    let at = frame
+        .windows(marker.len())
+        .position(|w| w == marker)
+        .expect("a success envelope carries a report");
+    &frame[at..]
 }
 
 #[test]
@@ -356,4 +369,139 @@ fn shutdown_answers_admitted_requests_before_joining() {
         panic!("the admitted request must be served");
     };
     assert_eq!(response.id.as_deref(), Some("last"));
+}
+
+#[test]
+fn a_repeated_request_carries_the_first_responses_report_bytes() {
+    let service = Arc::new(ServiceConfig::new(quick_config()).build());
+    let server = TcpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let mut stream = connect(&server);
+    // A catalogue key is served cold, then its drift step warm (or by the
+    // fallback); each is repeated twice as an exact hit.
+    for request in [
+        SolveRequest::catalog("far_edge", 3),
+        SolveRequest::drifted("far_edge", 3, 1),
+    ] {
+        let frames: Vec<Vec<u8>> = (0..3)
+            .map(|i| {
+                let body = request.clone().with_id(&format!("r{i}")).to_json();
+                wire::write_frame(&mut stream, body.as_bytes()).unwrap();
+                read_frame(&mut stream)
+                    .unwrap()
+                    .expect("a reply per request")
+            })
+            .collect();
+        let tags: Vec<CacheOutcome> = frames
+            .iter()
+            .map(
+                |frame| match WireReply::from_json(std::str::from_utf8(frame).unwrap()).unwrap() {
+                    WireReply::Ok(response) => response.cache,
+                    WireReply::Err { kind, message, .. } => panic!("{kind}: {message}"),
+                },
+            )
+            .collect();
+        assert_ne!(tags[0], CacheOutcome::Hit, "{}", request.to_json());
+        assert_eq!(tags[1..], [CacheOutcome::Hit; 2], "{}", request.to_json());
+        for hit in &frames[1..] {
+            assert!(
+                report_bytes(hit) == report_bytes(&frames[0]),
+                "{}: a hit's report bytes differ from the first response's",
+                request.to_json()
+            );
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_stops_reading_cannot_hold_the_only_worker() {
+    // Runs about WRITE_TIMEOUT (2 s) plus the time to fill the loopback
+    // socket buffers and one cold dense_cell solve.
+    let margin = Duration::from_secs(3);
+    let service = Arc::new(
+        ServiceConfig::new(quick_config())
+            .with_worker_threads(1)
+            .build(),
+    );
+    let server = TcpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    // Cache a dense_cell key: every later request for it is an exact hit
+    // whose reply is about 12 KB.
+    let request = SolveRequest::catalog("dense_cell", 1);
+    let mut probe = connect(&server);
+    let WireReply::Ok(_) = roundtrip(&mut probe, &request.to_json()) else {
+        panic!("the dense_cell solve must succeed");
+    };
+
+    // The stalled client pipelines hits and never reads, until its own
+    // writes stall: the server's worker is then blocked writing replies
+    // nobody reads, and its reader waits on that connection's writer. (It
+    // is declared after the server, so that if an assertion fails it closes
+    // first and lets the server shut down.)
+    let mut stalled = connect(&server);
+    stalled
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let mut frame = Vec::new();
+    wire::write_frame(&mut frame, request.to_json().as_bytes()).unwrap();
+    let batch = frame.repeat(256);
+    let fill_deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        match stalled.write_all(&batch) {
+            Ok(()) => assert!(
+                Instant::now() < fill_deadline,
+                "the stalled client's writes never stalled"
+            ),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+            Err(e) => panic!("writing to the server: {e}"),
+        }
+    }
+    let stalled_at = Instant::now();
+
+    // Another client is answered within the write timeout plus the margin,
+    // retrying while the stalled connection's requests fill the queue.
+    let deadline = WRITE_TIMEOUT + margin;
+    let mut other = connect(&server);
+    other.set_read_timeout(Some(deadline)).unwrap();
+    let answered = loop {
+        let body = request.clone().with_id("other").to_json();
+        match roundtrip(&mut other, &body) {
+            WireReply::Ok(response) => break response,
+            WireReply::Err { kind, message, .. } => {
+                assert_eq!(kind, "overloaded", "{message}");
+                assert!(
+                    stalled_at.elapsed() < deadline,
+                    "still shed {:?} after the stall: {message}",
+                    stalled_at.elapsed()
+                );
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    };
+    let waited = stalled_at.elapsed();
+    assert!(
+        waited < deadline,
+        "answered {waited:?} after the stall, over {deadline:?}"
+    );
+    assert_eq!(answered.cache, CacheOutcome::Hit);
+    assert_eq!(answered.id.as_deref(), Some("other"));
+
+    // The server shut the stalled connection down: reading it drains the
+    // replies already delivered and then reaches the end of the stream. The
+    // server closes a socket that still holds unread requests, which the
+    // kernel signals with a reset rather than a FIN, so a reset counts as
+    // the end too; a read that times out means the connection was left
+    // open.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut sink = vec![0u8; 1 << 16];
+    loop {
+        match stalled.read(&mut sink) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("the stalled connection must reach its end: {e}"),
+        }
+    }
+    server.shutdown();
 }

@@ -11,9 +11,17 @@
 //!   floor of its own scenario — the serve layer inherits the online
 //!   engine's fallback guarantee;
 //! * warm serving costs fewer outer iterations on the latency path than
-//!   cold solves of the same drifted scenarios.
+//!   cold solves of the same drifted scenarios;
+//! * every `quhe-serve/v2` response for one key carries the same report
+//!   bytes — later hits, coalesced followers and a restarted service's hits
+//!   alike.
+
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use quhe::prelude::*;
+use quhe::serve::wire::{self, Protocol};
 
 /// Iteration budgets sized for the debug-build test suite; the invariants
 /// hold at any budget because they compare runs sharing the same budget.
@@ -286,4 +294,184 @@ fn served_solutions_are_feasible_in_their_scenarios() {
         problem.check_feasible(&response.report.variables).unwrap();
         assert!(response.report.objective.is_finite());
     }
+}
+
+/// The `quhe-serve/v2` body of `request`.
+fn v2_body(request: &SolveRequest) -> String {
+    request
+        .to_json_value()
+        .with("proto", JsonValue::String(PROTOCOL_V2.to_string()))
+        .to_compact_string()
+}
+
+/// How a v2 success envelope's response was produced.
+fn served_as(envelope: &str) -> CacheOutcome {
+    match WireReply::from_json(envelope).unwrap() {
+        WireReply::Ok(response) => response.cache,
+        WireReply::Err { kind, message, .. } => panic!("{kind}: {message}"),
+    }
+}
+
+/// A v2 success envelope's report bytes, from `"report": ` to the end: what
+/// perfbench's client compares across the responses for one key.
+fn report_bytes(envelope: &str) -> &str {
+    let at = envelope
+        .find("\"report\": ")
+        .expect("a success envelope carries a report");
+    &envelope[at..]
+}
+
+/// `envelope` with the value of `service_wall_s`, the one field that differs
+/// between two hits of one key, blanked.
+fn without_wall(envelope: &str) -> String {
+    envelope
+        .lines()
+        .map(|line| {
+            if line.trim_start().starts_with("\"service_wall_s\": ") {
+                "service_wall_s"
+            } else {
+                line
+            }
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn v2_hits_carry_the_first_responses_report_bytes() {
+    let service = ServiceConfig::new(test_config()).build();
+    let mut firsts = Vec::new();
+    for name in ScenarioCatalog::builtin().names() {
+        // The catalogue key is served cold and its drift step warm (or by
+        // the fallback); two hits follow each.
+        for request in [
+            SolveRequest::catalog(name, 5),
+            SolveRequest::drifted(name, 5, 1),
+        ] {
+            let body = v2_body(&request);
+            let first = service.handle_json(&body);
+            assert_ne!(served_as(&first), CacheOutcome::Hit, "{body}");
+            for _ in 0..2 {
+                let hit = service.handle_json(&body);
+                assert_eq!(served_as(&hit), CacheOutcome::Hit, "{body}");
+                assert!(
+                    report_bytes(&hit) == report_bytes(&first),
+                    "{body}: a hit's report bytes differ from the first response's"
+                );
+                // The stored bytes are the in-process response's rendering.
+                let response = service.handle(&request).unwrap();
+                assert_eq!(
+                    without_wall(&hit),
+                    without_wall(&wire::ok_envelope(Protocol::V2, &response)),
+                    "{body}"
+                );
+            }
+            firsts.push((body, first));
+        }
+    }
+
+    // A service restarted from the cache snapshot renders the restored
+    // reports into the same bytes.
+    let snapshot = JsonValue::parse(&service.cache().snapshot().to_compact_string()).unwrap();
+    let restarted = ServiceConfig::new(test_config())
+        .with_cache_snapshot(snapshot)
+        .build();
+    for (body, first) in &firsts {
+        let hit = restarted.handle_json(body);
+        assert_eq!(served_as(&hit), CacheOutcome::Hit, "{body}");
+        assert!(
+            report_bytes(&hit) == report_bytes(first),
+            "{body}: a restored hit's report bytes differ from the first response's"
+        );
+    }
+    assert_eq!(restarted.stats().exact_hits, firsts.len());
+}
+
+/// A `quhe` solver registered as `gated` whose solves announce themselves
+/// and then wait for a release, so followers can join a leader's flight
+/// before it publishes.
+struct GatedSolver {
+    inner: QuheSolver,
+    entered: mpsc::Sender<()>,
+    release: Arc<Mutex<mpsc::Receiver<()>>>,
+}
+
+impl Solver for GatedSolver {
+    fn name(&self) -> &str {
+        "gated"
+    }
+
+    fn description(&self) -> &str {
+        "quhe, held at a gate until released"
+    }
+
+    fn config(&self) -> &QuheConfig {
+        self.inner.config()
+    }
+
+    fn with_config(&self, config: QuheConfig) -> Box<dyn Solver> {
+        Box::new(Self {
+            inner: QuheSolver::new(config),
+            entered: self.entered.clone(),
+            release: Arc::clone(&self.release),
+        })
+    }
+
+    fn solve(&self, scenario: &SystemScenario, spec: &SolveSpec) -> QuheResult<SolveReport> {
+        self.entered.send(()).unwrap();
+        self.release.lock().unwrap().recv().unwrap();
+        self.inner.solve(scenario, spec)
+    }
+}
+
+#[test]
+fn coalesced_followers_carry_the_leaders_report_bytes() {
+    let (entered, entered_rx) = mpsc::channel();
+    let (release_tx, release) = mpsc::channel();
+    let mut registry = SolverRegistry::builtin_with(test_config());
+    registry
+        .register(Box::new(GatedSolver {
+            inner: QuheSolver::new(test_config()),
+            entered,
+            release: Arc::new(Mutex::new(release)),
+        }))
+        .unwrap();
+    let service =
+        ServiceConfig::new(test_config()).build_with(registry, ScenarioCatalog::builtin());
+    let body = v2_body(&SolveRequest::catalog("far_edge", 2).with_solver("gated"));
+    let followers = 3;
+    let envelopes: Vec<String> = std::thread::scope(|scope| {
+        let leader = scope.spawn(|| service.handle_json(&body));
+        entered_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the leader reaches the solve");
+        let waiting: Vec<_> = (0..followers)
+            .map(|_| scope.spawn(|| service.handle_json(&body)))
+            .collect();
+        // Let the followers join the flight, then release the one solve.
+        std::thread::sleep(Duration::from_millis(200));
+        release_tx.send(()).unwrap();
+        std::iter::once(leader)
+            .chain(waiting)
+            .map(|handle| handle.join().unwrap())
+            .collect()
+    });
+    assert_eq!(served_as(&envelopes[0]), CacheOutcome::Cold);
+    for follower in &envelopes[1..] {
+        // A follower that arrived after the publication is an exact hit.
+        assert!(matches!(
+            served_as(follower),
+            CacheOutcome::Coalesced | CacheOutcome::Hit
+        ));
+        assert!(
+            report_bytes(follower) == report_bytes(&envelopes[0]),
+            "a follower's report bytes differ from the leader's"
+        );
+    }
+    let stats = service.stats();
+    assert_eq!(stats.cold_solves, 1, "{stats:?}");
+    assert!(
+        stats.coalesced >= 1,
+        "no follower joined the flight: {stats:?}"
+    );
 }
