@@ -20,20 +20,25 @@ matches quhe-core's solve_warm_guarded. It does not enter the reference.
 `check` also fails when
 * a workload's objective_mean differs from the reference (the figure is exact
   for a fixed seed and window),
+* for any world, the median of stage1.solve_s.<world> over the five traced
+  runs exceeds STAGE1_GATE times the reference median. Each traced run times
+  one probe solve of Stage 1 (the finite-difference interior-point solve of
+  P3) per world, the largest part of a dense cold solve and the one P3 solve
+  of every warm-served request, or
 * for any world, the median of stage3.solve_s.<world> over the five traced
   runs exceeds STAGE3_GATE times the reference median. Each traced run times
-  one probe solve per world, so the median needs enough runs to ride out a
-  slow probe on a small shared host, or
+  one Stage-3 probe solve per world, so the median needs enough runs to ride
+  out a slow probe on a small shared host, or
 * for any world, the median of core.cold_solve_s.<world> over the five traced
   runs exceeds COLD_GATE times the reference median. Each traced run reports
   the median of its replayed cold solves of that world (stages 1-3 and the
   alternation around them), so this gate watches the whole cold solve where
-  the Stage-3 gate watches one stage.
+  the Stage-1 and Stage-3 gates watch one stage each.
 
 `record` takes more traced runs and rewrites the reference from them: the
-untraced windows, and the per-world medians of both gated metrics. Run it
-after a change that moves the served objectives, the Stage-3 cost or the cost
-of a cold solve.
+untraced windows, and the per-world medians of the three gated metrics. Run
+it after a change that moves the served objectives, the Stage-1 or Stage-3
+cost or the cost of a cold solve.
 """
 
 import json
@@ -52,10 +57,12 @@ SEED = 7
 SECONDS = 5
 TRACED_SECONDS = 3
 TRACED_RUNS = {"check": 5, "record": 7}
+STAGE1_GATE = 2.0
 STAGE3_GATE = 2.0
 COLD_GATE = 2.0
 # (traced metric, reference key, gate factor) of the per-world gates.
-PER_WORLD_GATES = [("stage3.solve_s", "stage3_solve_s", STAGE3_GATE),
+PER_WORLD_GATES = [("stage1.solve_s", "stage1_solve_s", STAGE1_GATE),
+                   ("stage3.solve_s", "stage3_solve_s", STAGE3_GATE),
                    ("core.cold_solve_s", "cold_solve_s", COLD_GATE)]
 COMMAND = ["cargo", "run", "--release", "--offline", "--quiet",
            "--manifest-path", "perfbench/Cargo.toml", "--"]

@@ -10,7 +10,7 @@
 //! objective so the Stage-1 baselines (gradient descent, simulated annealing,
 //! random selection) can optimize exactly the same function.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::time::Instant;
 
 use quhe_opt::barrier::{BarrierSolver, InequalityProblem};
@@ -24,34 +24,52 @@ use crate::problem::Problem;
 /// Small margin keeping iterates strictly inside open constraints.
 const STRICT_MARGIN: f64 = 1e-6;
 
-/// Per-point quantities shared by the P3 objective and constraints.
+/// The P3 quantities of the last point evaluated, kept up to date one
+/// coordinate at a time.
 ///
 /// The barrier solver evaluates the feasibility predicate, the objective and
-/// the constraint vector of the *same* trial point back to back, and each of
-/// them needs `phi = exp(varphi)` and the per-link loads. The cache is keyed
-/// on the exact bits of the evaluation point, so a hit replays values that
-/// were computed from identical inputs — bit-identical by construction — and
-/// a miss recomputes them with the original expressions in the original
-/// accumulation order.
-#[derive(Debug, Default)]
+/// the constraint vector of the *same* trial point back to back, and its
+/// finite-difference derivatives evaluate points that each differ from the
+/// one before in one to three coordinates. [`P3Problem::refresh`] therefore
+/// recomputes only what a changed coordinate feeds: the coordinate's `exp`,
+/// the load and Werner factor of each link on its route, and `varpi` and the
+/// objective term of each route that crosses such a link (and of the route
+/// itself). Every cached value is the same expression of the same input
+/// bits as a full recompute, in the same accumulation order, so the values
+/// are bit-identical to evaluating the point from scratch.
+#[derive(Debug)]
 struct P3Cache {
-    /// The evaluation point the cached values belong to (bitwise key).
-    varphi: Vec<f64>,
+    /// Bits of the point the cached values belong to.
+    varphi: Vec<u64>,
     /// `phi_n = exp(varphi_n)`.
     phi: Vec<f64>,
     /// Per-link load `sum_{n on l} phi_n`, routes in ascending order.
     load: Vec<f64>,
     /// Per-link Werner factor `1 - load_l / beta_l`.
     factor: Vec<f64>,
-    valid: bool,
+    /// Per-route `varpi_n = prod_{l on n} factor_l`, links in ascending
+    /// order.
+    varpi: Vec<f64>,
+    /// Per-route `ln F_skf(varpi_n) + ln phi_n`, the term the objective
+    /// subtracts.
+    term: Vec<f64>,
+    /// Links whose load and factor are stale.
+    link_dirty: Vec<bool>,
+    /// Routes whose `varpi` and term are stale.
+    route_dirty: Vec<bool>,
+    /// No point evaluated yet: every coordinate counts as changed. A new
+    /// cache also has every link and route marked, so the first evaluation
+    /// computes every value, those of links no route crosses included.
+    empty: bool,
 }
 
 /// Problem P3 (Eq. 20) in `varphi = ln(phi)` as an [`InequalityProblem`].
 ///
-/// Compared to the closure formulation this precomputes the route/link
-/// incidence lists once (ascending, matching the incidence-matrix iteration
-/// order bit-for-bit) and fills the solver's reused constraint buffer without
-/// allocating.
+/// The route/link incidence lists are built once (ascending, matching the
+/// incidence-matrix iteration order bit-for-bit), every cache buffer is
+/// sized here, and the objective and constraints read the per-point values
+/// of [`P3Cache`], so an evaluation allocates nothing and recomputes only
+/// what changed since the previous point.
 #[derive(Debug)]
 struct P3Problem {
     n_routes: usize,
@@ -75,6 +93,17 @@ impl P3Problem {
             .collect();
         // Strictly feasible start: slightly above the minimum rate.
         let start = vec![(phi_min * 1.05).ln(); n_routes];
+        let cache = P3Cache {
+            varphi: vec![0; n_routes],
+            phi: vec![0.0; n_routes],
+            load: vec![0.0; n_links],
+            factor: vec![0.0; n_links],
+            varpi: vec![0.0; n_routes],
+            term: vec![0.0; n_routes],
+            link_dirty: vec![true; n_links],
+            route_dirty: vec![true; n_routes],
+            empty: true,
+        };
         Self {
             n_routes,
             phi_min,
@@ -82,42 +111,62 @@ impl P3Problem {
             route_links,
             link_routes,
             start,
-            cache: RefCell::new(P3Cache::default()),
+            cache: RefCell::new(cache),
         }
     }
 
-    /// Ensures the cache describes `varphi`, recomputing on a bitwise miss.
-    fn refresh(&self, varphi: &[f64]) -> std::cell::RefMut<'_, P3Cache> {
+    /// Brings the cache to `varphi`: each coordinate whose bits changed gets
+    /// a fresh `exp` and marks its route and the links on it, each marked
+    /// link recomputes its load and factor and marks the routes crossing it,
+    /// and each marked route recomputes `varpi` and its term.
+    // quhe-analyze: hot-path
+    fn refresh(&self, varphi: &[f64]) -> RefMut<'_, P3Cache> {
         let mut cache = self.cache.borrow_mut();
-        let hit = cache.valid
-            && cache.varphi.len() == varphi.len()
-            && cache
-                .varphi
-                .iter()
-                .zip(varphi)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !hit {
-            let c = &mut *cache;
-            c.varphi.clear();
-            c.varphi.extend_from_slice(varphi);
-            c.phi.clear();
-            c.phi.extend(varphi.iter().map(|v| v.exp()));
-            c.load.clear();
-            let phi = &c.phi;
-            c.load.extend(
-                self.link_routes
-                    .iter()
-                    .map(|routes| routes.iter().map(|&n| phi[n]).sum::<f64>()),
-            );
-            c.factor.clear();
-            let load = &c.load;
-            c.factor.extend(
-                self.betas
-                    .iter()
-                    .enumerate()
-                    .map(|(l, &beta)| 1.0 - load[l] / beta),
-            );
-            c.valid = true;
+        let P3Cache {
+            varphi: bits,
+            phi,
+            load,
+            factor,
+            varpi,
+            term,
+            link_dirty,
+            route_dirty,
+            empty,
+        } = &mut *cache;
+        for (n, (&v, b)) in varphi.iter().zip(bits.iter_mut()).enumerate() {
+            if *b == v.to_bits() && !*empty {
+                continue;
+            }
+            *b = v.to_bits();
+            phi[n] = v.exp();
+            route_dirty[n] = true;
+            for &l in &self.route_links[n] {
+                link_dirty[l] = true;
+            }
+        }
+        *empty = false;
+        for (l, routes) in self.link_routes.iter().enumerate() {
+            if !link_dirty[l] {
+                continue;
+            }
+            link_dirty[l] = false;
+            load[l] = routes.iter().map(|&n| phi[n]).sum::<f64>();
+            factor[l] = 1.0 - load[l] / self.betas[l];
+            for &n in routes {
+                route_dirty[n] = true;
+            }
+        }
+        for (n, links) in self.route_links.iter().enumerate() {
+            if !route_dirty[n] {
+                continue;
+            }
+            route_dirty[n] = false;
+            let mut product = 1.0;
+            for &l in links {
+                product *= factor[l];
+            }
+            varpi[n] = product;
+            term[n] = secret_key_fraction_raw(product).ln() + phi[n].ln();
         }
         cache
     }
@@ -128,18 +177,15 @@ impl InequalityProblem for P3Problem {
         self.n_routes
     }
 
+    // quhe-analyze: hot-path
     fn objective(&self, varphi: &[f64]) -> f64 {
         let cache = self.refresh(varphi);
         let mut total = 0.0;
-        for (n, &p) in cache.phi.iter().enumerate() {
-            let mut varpi = 1.0;
-            for &l in &self.route_links[n] {
-                varpi *= cache.factor[l];
-            }
+        for (&varpi, &term) in cache.varpi.iter().zip(&cache.term) {
             if varpi <= SKF_THRESHOLD {
                 return f64::INFINITY;
             }
-            total -= secret_key_fraction_raw(varpi).ln() + p.ln();
+            total -= term;
         }
         total
     }
@@ -150,24 +196,21 @@ impl InequalityProblem for P3Problem {
         g
     }
 
+    // quhe-analyze: hot-path
     fn constraints_into(&self, varphi: &[f64], out: &mut Vec<f64>) {
         let cache = self.refresh(varphi);
         out.clear();
         out.reserve(2 * self.n_routes + self.betas.len());
         // (20a) phi_min - phi_n <= 0.
-        for &p in cache.phi.iter() {
+        for &p in &cache.phi {
             out.push(self.phi_min - p);
         }
         // (20b) load_l / beta_l - (1 - margin) <= 0.
-        for (l, &beta) in self.betas.iter().enumerate() {
-            out.push(cache.load[l] / beta - (1.0 - STRICT_MARGIN));
+        for (&load, &beta) in cache.load.iter().zip(&self.betas) {
+            out.push(load / beta - (1.0 - STRICT_MARGIN));
         }
         // (20c) threshold - varpi_n <= 0.
-        for links in &self.route_links {
-            let mut varpi = 1.0;
-            for &l in links {
-                varpi *= cache.factor[l];
-            }
+        for &varpi in &cache.varpi {
             out.push(SKF_THRESHOLD + STRICT_MARGIN - varpi);
         }
     }
@@ -273,16 +316,15 @@ impl Stage1Solver {
     pub fn solve(&self, problem: &Problem) -> QuheResult<Stage1Result> {
         let start = Instant::now();
         let scenario = problem.scenario();
-        let incidence = scenario.qkd().incidence().clone();
-        let betas = scenario.qkd().betas();
+        let incidence = scenario.qkd().incidence();
         let phi_min = problem.config().min_entanglement_rate;
 
-        let barrier_problem = P3Problem::new(&incidence, betas.clone(), phi_min);
+        let barrier_problem = P3Problem::new(incidence, scenario.qkd().betas(), phi_min);
         let solver = BarrierSolver::default();
         let solution = solver.solve(&barrier_problem, None)?;
 
         let phi: Vec<f64> = solution.inner.solution.iter().map(|v| v.exp()).collect();
-        let w = optimal_werner(&incidence, &phi, &betas)?;
+        let w = optimal_werner(incidence, &phi, &barrier_problem.betas)?;
         let objective_value = Self::p3_objective(problem, &phi);
         if !objective_value.is_finite() {
             return Err(QuheError::ConstraintViolation {
@@ -303,8 +345,11 @@ impl Stage1Solver {
 
 #[cfg(test)]
 mod tests {
+    use rand::{Rng, SeedableRng};
+
     use super::*;
     use crate::params::QuheConfig;
+    use crate::registry::ScenarioCatalog;
     use crate::scenario::SystemScenario;
 
     fn problem() -> Problem {
@@ -364,6 +409,94 @@ mod tests {
         assert!(Stage1Solver::p3_objective(&p, &[100.0; 6]).is_infinite());
         assert!(Stage1Solver::p3_objective(&p, &[1.0; 5]).is_infinite());
         assert!(Stage1Solver::p3_objective(&p, &[1.0; 6]).is_finite());
+    }
+
+    #[test]
+    fn incremental_evaluations_match_a_fresh_problem_bit_for_bit() {
+        let phi_min = QuheConfig::default().min_entanglement_rate;
+        let catalog = ScenarioCatalog::builtin();
+        for name in catalog.names() {
+            let scenario = catalog.generate(name, 3).unwrap();
+            let qkd = scenario.qkd();
+            let fresh = || P3Problem::new(qkd.incidence(), qkd.betas(), phi_min);
+            let walked = fresh();
+            let n = walked.dimension();
+            // Evaluates `x` on the walked problem, in either order, and on a
+            // fresh one, and returns the objective once their bits agree.
+            let check = |x: &[f64], constraints_first: bool| {
+                let (objective, constraints) = if constraints_first {
+                    let g = walked.constraints(x);
+                    (walked.objective(x), g)
+                } else {
+                    (walked.objective(x), walked.constraints(x))
+                };
+                let reference = fresh();
+                assert_eq!(
+                    objective.to_bits(),
+                    reference.objective(x).to_bits(),
+                    "{name}: objective at {x:?}"
+                );
+                let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&constraints),
+                    bits(&reference.constraints(x)),
+                    "{name}: constraints at {x:?}"
+                );
+                objective
+            };
+
+            let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+            let mut x = walked.start.clone();
+            let mut visited = vec![x.clone()];
+            check(&x, false);
+            for step in 0..300 {
+                if step % 7 == 3 {
+                    x.clone_from(&visited[rng.gen_range(0..visited.len())]);
+                } else {
+                    // One to three coordinates, by a finite-difference step
+                    // or a larger one.
+                    for _ in 0..rng.gen_range(1..=3) {
+                        let i = rng.gen_range(0..n);
+                        let h = [1e-6, 1e-3, 0.05][rng.gen_range(0..3)];
+                        x[i] += if rng.gen_bool(0.5) { h } else { -h };
+                    }
+                }
+                check(&x, step % 2 == 1);
+                visited.push(x.clone());
+            }
+            for v in x.iter_mut() {
+                *v += rng.gen_range(-0.01..0.01);
+            }
+            check(&x, false);
+
+            // From the feasible start, raise one rate until a route falls
+            // below the secret-key threshold, then step back.
+            let mut x = walked.start.clone();
+            assert!(check(&x, false).is_finite(), "{name}: start infeasible");
+            let i = rng.gen_range(0..n);
+            let mut pushes = 0;
+            let mut feasible = x[i];
+            while check(&x, pushes % 2 == 1).is_finite() {
+                assert!(
+                    pushes < 200,
+                    "{name}: route {i} never left the feasible set"
+                );
+                feasible = x[i];
+                x[i] += 0.1;
+                pushes += 1;
+            }
+            assert!(
+                walked
+                    .cache
+                    .borrow()
+                    .varpi
+                    .iter()
+                    .any(|&varpi| varpi <= SKF_THRESHOLD),
+                "{name}: +inf without a route below the threshold"
+            );
+            x[i] = feasible;
+            assert!(check(&x, false).is_finite(), "{name}: no way back");
+        }
     }
 
     #[test]

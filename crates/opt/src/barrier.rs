@@ -194,6 +194,10 @@ impl BarrierSolver {
     /// (which must be strictly feasible) or, when `start` is `None`, from the
     /// problem's own strictly feasible point.
     ///
+    /// The barrier objective takes `ln(-g_i)` only of constraints whose value
+    /// changed since its previous evaluation and reuses the log of the rest,
+    /// which gives the same bits as taking every log afresh.
+    ///
     /// # Errors
     /// * [`OptError::InvalidConfig`] for an invalid configuration.
     /// * [`OptError::InfeasibleStart`] when no strictly feasible starting
@@ -241,6 +245,13 @@ impl BarrierSolver {
         let newton = DampedNewton::new(self.config.newton);
         let mut newton_ws = NewtonWorkspace::new();
         let obj_buf = RefCell::new(Vec::new());
+        // Per constraint index, the bits of its last value and that value's
+        // `ln(-g)`. Successive finite-difference points differ in one to
+        // three coordinates, so most constraint values repeat, and a value
+        // whose bits repeat reuses its log. Keyed on `g` alone, the memo
+        // stays valid as `t` grows. Entries start at `(-1, ln 1 = 0)`, which
+        // is consistent.
+        let log_memo = RefCell::new(Vec::new());
         let mut outer = 0;
         let mut converged = false;
 
@@ -251,11 +262,17 @@ impl BarrierSolver {
                 let mut value = t_now * problem.objective(y);
                 let mut constraints = obj_buf.borrow_mut();
                 problem.constraints_into(y, &mut constraints);
-                for &g in constraints.iter() {
+                let mut memo = log_memo.borrow_mut();
+                memo.resize(constraints.len(), ((-1.0f64).to_bits(), 0.0));
+                for (&g, (bits, log)) in constraints.iter().zip(memo.iter_mut()) {
                     if g >= 0.0 {
                         return f64::INFINITY;
                     }
-                    value -= (-g).ln();
+                    if *bits != g.to_bits() {
+                        *bits = g.to_bits();
+                        *log = (-g).ln();
+                    }
+                    value -= *log;
                 }
                 value
             };
@@ -348,6 +365,118 @@ mod tests {
             solver.solve(&problem, None),
             Err(OptError::InfeasibleStart { .. })
         ));
+    }
+
+    /// [`BarrierSolver::solve`] written out without the log memo: each
+    /// centering step minimizes a barrier objective that takes `ln(-g)` of
+    /// every constraint on every evaluation.
+    fn unmemoized_solve<P: InequalityProblem>(problem: &P, start: &[f64]) -> BarrierResult {
+        let config = BarrierConfig::default();
+        let in_domain = |x: &[f64]| {
+            problem
+                .constraints(x)
+                .iter()
+                .all(|&g| g < 0.0 && g.is_finite())
+        };
+        let m = problem.constraints(start).len().max(1) as f64;
+        let newton = DampedNewton::new(config.newton);
+        let mut ws = NewtonWorkspace::new();
+        let mut t = config.initial_t;
+        let mut x = start.to_vec();
+        let mut trace = vec![problem.objective(&x)];
+        let mut gap_trace = Vec::new();
+        let mut outer = 0;
+        let mut converged = false;
+        while outer < config.max_outer_iterations {
+            outer += 1;
+            let t_now = t;
+            let barrier_objective = |y: &[f64]| {
+                let mut value = t_now * problem.objective(y);
+                for g in problem.constraints(y) {
+                    if g >= 0.0 {
+                        return f64::INFINITY;
+                    }
+                    value -= (-g).ln();
+                }
+                value
+            };
+            x = newton
+                .minimize_with(&barrier_objective, &in_domain, &x, &mut ws)
+                .unwrap()
+                .solution;
+            trace.push(problem.objective(&x));
+            gap_trace.push(m / t_now);
+            if m / t_now < config.gap_tolerance {
+                converged = true;
+                break;
+            }
+            t *= config.mu;
+        }
+        BarrierResult {
+            inner: OptimizeResult {
+                objective: problem.objective(&x),
+                solution: x,
+                iterations: outer,
+                converged,
+                trace,
+            },
+            gap_trace,
+        }
+    }
+
+    fn assert_same_bits(got: &BarrierResult, want: &BarrierResult) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.inner.solution), bits(&want.inner.solution));
+        assert_eq!(bits(&got.inner.trace), bits(&want.inner.trace));
+        assert_eq!(bits(&got.gap_trace), bits(&want.gap_trace));
+        assert_eq!(
+            got.inner.objective.to_bits(),
+            want.inner.objective.to_bits()
+        );
+        assert_eq!(got.inner.iterations, want.inner.iterations);
+        assert_eq!(got.inner.converged, want.inner.converged);
+    }
+
+    #[test]
+    fn the_log_memo_matches_an_unmemoized_barrier_bit_for_bit() {
+        // Box constraints and a budget: a finite-difference step in one
+        // coordinate leaves every other coordinate's box constraints as they
+        // were.
+        let boxed = FnProblem::new(
+            4,
+            |x: &[f64]| {
+                x.iter()
+                    .enumerate()
+                    .map(|(i, &v)| (v - 0.9 + 0.1 * i as f64).powi(2))
+                    .sum::<f64>()
+            },
+            |x: &[f64]| {
+                let mut g: Vec<f64> = x.iter().map(|&v| -v).collect();
+                g.extend(x.iter().map(|&v| v - 1.0));
+                g.push(x.iter().sum::<f64>() - 2.0);
+                g
+            },
+        )
+        .with_start(vec![0.25; 4]);
+        // A chain: each constraint couples two neighbours, so a step moves
+        // two of them and the rest repeat.
+        let chain = FnProblem::new(
+            5,
+            |x: &[f64]| -x.iter().map(|&v| (1.0 + v).ln()).sum::<f64>() + 0.3 * x[0] * x[4],
+            |x: &[f64]| {
+                let mut g: Vec<f64> = x.windows(2).map(|w| w[0] + 2.0 * w[1] - 1.5).collect();
+                g.extend(x.iter().map(|&v| -v));
+                g
+            },
+        )
+        .with_start(vec![0.1; 5]);
+        let solver = BarrierSolver::default();
+        let got = solver.solve(&boxed, None).unwrap();
+        assert!(got.inner.converged);
+        assert_same_bits(&got, &unmemoized_solve(&boxed, &[0.25; 4]));
+        let got = solver.solve(&chain, None).unwrap();
+        assert!(got.inner.converged);
+        assert_same_bits(&got, &unmemoized_solve(&chain, &[0.1; 5]));
     }
 
     #[test]

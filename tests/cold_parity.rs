@@ -4,7 +4,7 @@
 //! required to be **bit-identical** to the pre-optimization solver: every
 //! transformation either reuses a value that was already computed (same
 //! inputs, same accumulation order) or abandons a multi-start candidate that
-//! provably cannot win. This suite pins that contract two ways:
+//! provably cannot win. This suite pins that contract four ways:
 //!
 //! 1. Against **frozen goldens**: objective bits and a fingerprint of every
 //!    decision variable, captured from the pre-optimization build across the
@@ -18,10 +18,15 @@
 //!    answers off its cached anchors, so a change to the warm solve, the
 //!    single-start floor guard or the cold fallback must serve the same
 //!    bits.
+//! 4. Against **Stage-1 goldens**: the P3 objective bits, the barrier's
+//!    iteration count and a fingerprint of the rates, Werner parameters and
+//!    Fig. 4(a) trace of Stage 1 solved alone, so a change to the P3
+//!    evaluation or the barrier solver must keep every bit of its output.
 //!
 //! Regenerate the golden tables after an *intentional* numeric change with
 //! `cargo test --test cold_parity -- --ignored --nocapture regenerate` and
-//! paste the printed rows over `GOLDENS` and `WARM_GOLDENS`.
+//! paste the printed rows over `GOLDENS`, `WARM_GOLDENS` and
+//! `STAGE1_GOLDENS`.
 
 use quhe::prelude::*;
 
@@ -38,35 +43,52 @@ fn config() -> QuheConfig {
 
 const SEEDS: [u64; 2] = [42, 7];
 
-/// FNV-1a over the bit patterns of every decision variable, in declaration
-/// order — a stable 64-bit fingerprint of the full assignment.
-fn fingerprint(vars: &DecisionVariables) -> u64 {
+/// FNV-1a over 64-bit words, each eaten as its little-endian bytes.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
-    let mut eat = |bits: u64| {
-        for byte in bits.to_le_bytes() {
+    for word in words {
+        for byte in word.to_le_bytes() {
             h ^= u64::from(byte);
             h = h.wrapping_mul(PRIME);
         }
-    };
-    for block in [
+    }
+    h
+}
+
+/// FNV-1a over the bit patterns of every decision variable, in declaration
+/// order — a stable 64-bit fingerprint of the full assignment.
+fn fingerprint(vars: &DecisionVariables) -> u64 {
+    let blocks = [
         &vars.phi,
         &vars.w,
         &vars.power,
         &vars.bandwidth,
         &vars.client_frequency,
         &vars.server_frequency,
-    ] {
-        for value in block.iter() {
-            eat(value.to_bits());
-        }
-    }
-    for &lambda in &vars.lambda {
-        eat(lambda);
-    }
-    eat(vars.delay_bound.to_bits());
-    h
+    ];
+    fnv1a(
+        blocks
+            .into_iter()
+            .flatten()
+            .map(|value| value.to_bits())
+            .chain(vars.lambda.iter().copied())
+            .chain([vars.delay_bound.to_bits()]),
+    )
+}
+
+/// FNV-1a over the bit patterns of a Stage-1 result's rates, Werner
+/// parameters and objective trace, in that order.
+fn stage1_fingerprint(result: &Stage1Result) -> u64 {
+    fnv1a(
+        result
+            .phi
+            .iter()
+            .chain(&result.w)
+            .chain(&result.trace)
+            .map(|value| value.to_bits()),
+    )
 }
 
 /// `(world, seed, objective bits, variable fingerprint)` captured from the
@@ -158,6 +180,79 @@ const WARM_GOLDENS: [(&str, u64, usize, &str, u64, u64); 20] = [
     ("bursty_workload", 7, 2, "warm", 0x3fe27e1a107193f7, 0x875246f471890a70),
 ];
 
+/// `(world, seed, drift step, objective bits, iterations, Stage-1
+/// fingerprint)` of Stage 1 solved alone on each catalogue world's request
+/// (step 0) and its drift step 1, captured before Stage 1 re-evaluated only
+/// what a finite-difference step touches. The fingerprint is
+/// [`stage1_fingerprint`], and the rows stay one per line, as
+/// `regenerate_stage1_goldens` prints them.
+#[rustfmt::skip]
+const STAGE1_GOLDENS: [(&str, u64, usize, u64, usize, u64); 20] = [
+    // paper_default/42 step 0: objective 4.584613368892368
+    ("paper_default", 42, 0, 0x401256a4e310c9d6, 9, 0xdba8cbc41aea3594),
+    // paper_default/42 step 1: objective 4.577681252647128
+    ("paper_default", 42, 1, 0x40124f8bac9e86e4, 9, 0xd9cff6a23fbf743b),
+    // paper_default/7 step 0: objective 4.584613368892368
+    ("paper_default", 7, 0, 0x401256a4e310c9d6, 9, 0xdba8cbc41aea3594),
+    // paper_default/7 step 1: objective 4.597432679014103
+    ("paper_default", 7, 1, 0x401263c56467b57e, 9, 0xfb8d726dd529d760),
+    // dense_cell/42 step 0: objective 22.299015224875177
+    ("dense_cell", 42, 0, 0x40364c8c4303d850, 9, 0xa77376bda30ec77d),
+    // dense_cell/42 step 1: objective 22.37580685743889
+    ("dense_cell", 42, 1, 0x40366034e0d25004, 9, 0xa6569dd2804ad374),
+    // dense_cell/7 step 0: objective 23.050032128841895
+    ("dense_cell", 7, 0, 0x40370ccee7d5200d, 9, 0x17793321dfc2a267),
+    // dense_cell/7 step 1: objective 23.051146328408127
+    ("dense_cell", 7, 1, 0x40370d17ecffd2c9, 9, 0x940c45029cd76c89),
+    // heterogeneous_devices/42 step 0: objective 2.7852536410579605
+    ("heterogeneous_devices", 42, 0, 0x400648330f9b455a, 9, 0xd1909d28af768d45),
+    // heterogeneous_devices/42 step 1: objective 2.805870338095048
+    ("heterogeneous_devices", 42, 1, 0x4006726c25d77a41, 9, 0xe8c49f25a121ab8e),
+    // heterogeneous_devices/7 step 0: objective 2.82336894942728
+    ("heterogeneous_devices", 7, 0, 0x4006964275b2a807, 9, 0x27e58b25e7786392),
+    // heterogeneous_devices/7 step 1: objective 2.862557112548461
+    ("heterogeneous_devices", 7, 1, 0x4006e68457ea9f66, 9, 0x8443ebc1acc43662),
+    // far_edge/42 step 0: objective 2.5201536495964274
+    ("far_edge", 42, 0, 0x40042946510f4b29, 9, 0xbcd3ffeb21ee643c),
+    // far_edge/42 step 1: objective 2.555243878395302
+    ("far_edge", 42, 1, 0x40047123b3d818a0, 9, 0xee3b399b1d909cab),
+    // far_edge/7 step 0: objective 0.4082189240822688
+    ("far_edge", 7, 0, 0x3fda20424422aa6a, 9, 0xbf9793839bb0ba36),
+    // far_edge/7 step 1: objective 0.43344649162917076
+    ("far_edge", 7, 1, 0x3fdbbd965a873f19, 9, 0xab12fc43e79eb600),
+    // bursty_workload/42 step 0: objective 1.4578330648170668
+    ("bursty_workload", 42, 0, 0x3ff75348c386ab02, 9, 0xb0f72b3fe326078b),
+    // bursty_workload/42 step 1: objective 1.4796418917735212
+    ("bursty_workload", 42, 1, 0x3ff7ac9cf9ef576e, 9, 0x15ac11c2a69aef41),
+    // bursty_workload/7 step 0: objective 0.5282657288866528
+    ("bursty_workload", 7, 0, 0x3fe0e78d87a54e0a, 9, 0x959c66e56b253b3b),
+    // bursty_workload/7 step 1: objective 0.5649156222509217
+    ("bursty_workload", 7, 1, 0x3fe213c9ed52267e, 9, 0x47b1ae33d9ea9d1b),
+];
+
+/// Solves Stage 1 alone, at [`config`], on each catalogue world's request
+/// at each seed and on its drift step 1, both resolved by one service, and
+/// returns the results with their world, seed and step (0 for the
+/// catalogue request).
+fn stage1_results() -> Vec<(String, u64, usize, Stage1Result)> {
+    let service = ServiceConfig::new(config()).build();
+    let mut results = Vec::new();
+    for name in ScenarioCatalog::builtin().names() {
+        for seed in SEEDS {
+            for (step, request) in [
+                (0, SolveRequest::catalog(name, seed)),
+                (1, SolveRequest::drifted(name, seed, 1)),
+            ] {
+                let scenario = service.resolve_scenario(&request.scenario).unwrap();
+                let problem = Problem::new(scenario, config()).unwrap();
+                let result = Stage1Solver::new().solve(&problem).unwrap();
+                results.push((name.to_string(), seed, step, result));
+            }
+        }
+    }
+    results
+}
+
 /// Sends, through one service at [`config`], each catalogue world's request
 /// at each seed followed by its drift steps 1 and 2, and returns the drifted
 /// requests' responses with their world, seed and step. The catalogue
@@ -246,6 +341,36 @@ fn warm_served_drift_steps_match_their_goldens() {
 }
 
 #[test]
+fn stage1_solves_match_their_goldens() {
+    let results = stage1_results();
+    assert_eq!(results.len(), STAGE1_GOLDENS.len());
+    for ((name, seed, step, result), golden) in results.iter().zip(STAGE1_GOLDENS) {
+        let (golden_name, golden_seed, golden_step, objective_bits, iterations, stage1_bits) =
+            golden;
+        assert_eq!(
+            (name.as_str(), *seed, *step),
+            (golden_name, golden_seed, golden_step)
+        );
+        assert_eq!(
+            result.objective.to_bits(),
+            objective_bits,
+            "{name}/{seed} step {step}: P3 objective drifted (got {:?} = {:#018x})",
+            result.objective,
+            result.objective.to_bits(),
+        );
+        assert_eq!(
+            result.iterations, iterations,
+            "{name}/{seed} step {step}: barrier iteration count changed"
+        );
+        assert_eq!(
+            stage1_fingerprint(result),
+            stage1_bits,
+            "{name}/{seed} step {step}: rates, Werner parameters or trace drifted",
+        );
+    }
+}
+
+#[test]
 fn pruning_never_changes_the_multi_start_winner() {
     // Dominated-start pruning abandons only candidates that provably cannot
     // beat the incumbent, so the winner — and everything derived from it —
@@ -321,6 +446,23 @@ fn regenerate_warm_goldens() {
             response.cache.tag(),
             report.objective.to_bits(),
             fingerprint(&report.variables),
+        );
+    }
+}
+
+/// Prints the Stage-1 golden table for pasting into `STAGE1_GOLDENS` after
+/// an intentional numeric change. Run with
+/// `cargo test --test cold_parity -- --ignored --nocapture regenerate`.
+#[test]
+#[ignore = "golden regeneration helper, not a check"]
+fn regenerate_stage1_goldens() {
+    for (name, seed, step, result) in stage1_results() {
+        println!(
+            "    // {name}/{seed} step {step}: objective {:?}\n    (\"{name}\", {seed}, {step}, {:#018x}, {}, {:#018x}),",
+            result.objective,
+            result.objective.to_bits(),
+            result.iterations,
+            stage1_fingerprint(&result),
         );
     }
 }
