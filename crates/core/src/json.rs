@@ -198,7 +198,7 @@ impl JsonValue {
     }
 
     /// Serializes with two-space indentation and a trailing newline — the
-    /// format of the `quhe-bench` artifacts.
+    /// layout of `SolveReport::to_json` and of the serve layer's responses.
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);

@@ -28,8 +28,9 @@
 //!   solvers, plus the Stage-1 baselines (gradient descent, simulated
 //!   annealing, random selection) of Section VI-B.
 //! * [`json`] — the minimal JSON tree, writer and parser that
-//!   [`solver::SolveReport`] and the `quhe-bench` artifacts serialize
-//!   through (the offline build's working substitute for serde).
+//!   [`solver::SolveReport`], [`scenario::SystemScenario`] and the
+//!   `quhe-serve` wire protocol serialize through (the offline build's
+//!   working substitute for serde).
 //! * [`fingerprint`] — content-addressed scenario fingerprints (full and
 //!   shape digests of the canonical byte encoding), the cache keys of the
 //!   `quhe-serve` solve service.
@@ -39,7 +40,7 @@
 //!   study.
 //! * [`registry`] — the named catalogue of complete system scenarios
 //!   (paper default plus dense-cell, heterogeneous, far-edge and bursty
-//!   worlds), the unit of the parallel batch-evaluation pipeline.
+//!   worlds), which the serve layer resolves requests against.
 //! * [`online`] — the online dynamic-world engine: seed-deterministic
 //!   system-level event traces ([`online::SystemTrace`]) and
 //!   [`online::solve_online_with`], which tracks a drifting world with any

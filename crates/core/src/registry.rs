@@ -10,8 +10,9 @@
 //! every world shares the paper's `lambda in {2^15, 2^16, 2^17}` choice set
 //! unless overridden.
 //!
-//! The catalogue is the unit the batch-evaluation pipeline iterates:
-//! `catalog.names() x seeds` is the standing experiment grid.
+//! The catalogue is the unit the serve layer resolves requests against and
+//! the integration tests iterate: `catalog.names() x seeds` is the standing
+//! experiment grid.
 
 use quhe_mec::generator::{ScenarioGenerator, ScenarioRegistry};
 use quhe_qkd::topology::{surfnet_scenario, synthetic_scenario};
@@ -86,14 +87,17 @@ impl ScenarioCatalog {
     /// * Scenario-consistency failures from [`SystemScenario::new`].
     pub fn generate(&self, name: &str, seed: u64) -> QuheResult<SystemScenario> {
         let mec = self.registry.generate(name, seed)?;
-        let surfnet = surfnet_scenario();
-        // The client-count guard keeps a custom registry whose
-        // "paper_default" is not actually the paper's world from being
-        // paired with an unusable network.
-        let qkd = if name == "paper_default" && mec.num_clients() == surfnet.num_clients() {
-            surfnet
-        } else {
-            synthetic_scenario(mec.num_clients(), seed)
+        // SURFnet is built only for the paper's world. The client-count
+        // guard keeps a custom registry whose "paper_default" is not
+        // actually the paper's world from being paired with an unusable
+        // network.
+        let surfnet = match name {
+            "paper_default" => Some(surfnet_scenario()),
+            _ => None,
+        };
+        let qkd = match surfnet {
+            Some(surfnet) if surfnet.num_clients() == mec.num_clients() => surfnet,
+            _ => synthetic_scenario(mec.num_clients(), seed),
         };
         SystemScenario::new(qkd, mec, self.lambda_choices.clone())
     }

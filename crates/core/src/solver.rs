@@ -310,6 +310,12 @@ impl SolveSpec {
     /// [`QuheError::InvalidConfig`] naming the first missing or malformed
     /// field.
     pub fn from_json_value(value: &JsonValue) -> QuheResult<Self> {
+        Self::from_json_fields(value).map_err(malformed_document("SolveSpec"))
+    }
+
+    /// [`SolveSpec::from_json_value`] without the document name, for the
+    /// spec a report embeds.
+    fn from_json_fields(value: &JsonValue) -> QuheResult<Self> {
         let start_value = field(value, "start")?;
         let mode = str_field(start_value, "mode")?;
         let start = match mode.as_str() {
@@ -419,8 +425,8 @@ impl SolveReport {
         self
     }
 
-    /// Serializes to a [`JsonValue`] tree (the shared `quhe-bench` report
-    /// writer embeds this into the `BENCH_*.json` envelopes).
+    /// Serializes to a [`JsonValue`] tree (the serve layer nests it in its
+    /// response envelopes at `result.report`).
     pub fn to_json_value(&self) -> JsonValue {
         JsonValue::object()
             .with("solver", JsonValue::String(self.solver.clone()))
@@ -467,13 +473,17 @@ impl SolveReport {
     /// [`QuheError::InvalidConfig`] naming the first missing or malformed
     /// field.
     pub fn from_json_value(value: &JsonValue) -> QuheResult<Self> {
+        Self::from_json_fields(value).map_err(malformed_document("SolveReport"))
+    }
+
+    fn from_json_fields(value: &JsonValue) -> QuheResult<Self> {
         let stage_calls_raw = usize_vec_field(value, "stage_calls")?;
         let stage_calls: [usize; 3] = stage_calls_raw
             .try_into()
             .map_err(|_| malformed("stage_calls must have exactly three entries"))?;
         Ok(Self {
             solver: str_field(value, "solver")?,
-            spec: SolveSpec::from_json_value(field(value, "spec")?)?,
+            spec: SolveSpec::from_json_fields(field(value, "spec")?)?,
             objective: f64_field(value, "objective")?,
             variables: variables_from_json(field(value, "variables")?)?,
             metrics: metrics_from_json(field(value, "metrics")?)?,
@@ -942,9 +952,20 @@ impl SolverRegistry {
 
 // ---------------------------------------------------------------- JSON I/O --
 
+/// A malformed field; [`malformed_document`] names the document it is in.
 fn malformed(detail: &str) -> QuheError {
     QuheError::InvalidConfig {
-        reason: format!("malformed SolveReport JSON: {detail}"),
+        reason: detail.to_string(),
+    }
+}
+
+/// Prefixes a [`malformed`] field error with the document that holds it.
+fn malformed_document(document: &'static str) -> impl Fn(QuheError) -> QuheError {
+    move |error| match error {
+        QuheError::InvalidConfig { reason } => QuheError::InvalidConfig {
+            reason: format!("malformed {document} JSON: {reason}"),
+        },
+        other => other,
     }
 }
 

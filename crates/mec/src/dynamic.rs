@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::channel::ChannelModel;
 use crate::error::{MecError, MecResult};
-use crate::scenario::{ClientProfile, MecScenario};
+use crate::scenario::{place_in_paper_cell, ClientProfile, MecScenario};
 
 /// An atomic change to a dynamic world.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -419,23 +419,8 @@ fn sample_joining_client(
     channel: &ChannelModel,
     ordinal: usize,
 ) -> ClientProfile {
-    let radius = 1000.0 * rng.gen_range(0.0f64..1.0).sqrt().max(0.05);
-    let gain = channel
-        .sample_gain(radius, rng)
-        .expect("radius is positive");
-    ClientProfile {
-        distance_m: radius,
-        channel_gain: gain,
-        upload_bits: 3e9,
-        tokens: 160.0,
-        tokens_per_sample: 10.0,
-        encryption_cycles: 1e6,
-        client_capacitance: 1e-28,
-        max_client_frequency_hz: 3e9,
-        max_power_w: 0.2,
-        privacy_weight: MecScenario::PAPER_PRIVACY_WEIGHTS
-            [ordinal % MecScenario::PAPER_PRIVACY_WEIGHTS.len()],
-    }
+    let (radius, gain) = place_in_paper_cell(rng, channel);
+    ClientProfile::paper(radius, gain, ordinal)
 }
 
 #[cfg(test)]

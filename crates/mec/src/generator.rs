@@ -8,12 +8,15 @@
 //! [`ScenarioRegistry`] holds generators by name so experiment harnesses can
 //! iterate "every known scenario" without hard-coding the list.
 //!
-//! All generators are seed-deterministic (same seed, same scenario — byte for
-//! byte) and every produced scenario passes [`MecScenario::new`] validation.
-//! Custom generators plug in through [`ScenarioRegistry::register`].
+//! The five built-in worlds of [`ScenarioRegistry::builtin`] are plain
+//! functions of the client count and the seed, each holding its world's
+//! constants. They are seed-deterministic (same seed, same scenario — byte
+//! for byte) and every produced scenario passes [`MecScenario::new`]
+//! validation. Other worlds implement [`ScenarioGenerator`] and plug in
+//! through [`ScenarioRegistry::register`].
 
-use rand::Rng;
-use rand::SeedableRng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::channel::ChannelModel;
 use crate::error::{MecError, MecResult};
@@ -39,23 +42,77 @@ pub trait ScenarioGenerator: Send + Sync {
     fn generate(&self, seed: u64) -> MecScenario;
 }
 
-/// Samples an area-uniform position in an annulus and the composite channel
-/// gain at that distance — the shared placement kernel of the generators.
-///
-/// # Panics
-/// Panics with a descriptive message when the annulus is empty
-/// (`0 < min_radius_m < max_radius_m` is required); generator knobs are
-/// plain struct fields, so this is the single validation point for them.
+/// The built-in worlds. Each is a plain function of the client count and
+/// the seed; this enum only names them for the registry.
+enum World {
+    PaperDefault,
+    DenseCell,
+    HeterogeneousDevices,
+    FarEdge,
+    BurstyWorkload,
+}
+
+impl ScenarioGenerator for World {
+    fn name(&self) -> &str {
+        match self {
+            World::PaperDefault => "paper_default",
+            World::DenseCell => "dense_cell",
+            World::HeterogeneousDevices => "heterogeneous_devices",
+            World::FarEdge => "far_edge",
+            World::BurstyWorkload => "bursty_workload",
+        }
+    }
+
+    fn description(&self) -> &str {
+        match self {
+            World::PaperDefault => {
+                "the paper's Section VI-A world: 6 clients uniform in a 1 km cell, NLP workload"
+            }
+            World::DenseCell => {
+                "dense small cell: 32+ clients in a 500 m radius, budgets scaled with the population"
+            }
+            World::HeterogeneousDevices => {
+                "mixed device fleet: phone / laptop / edge-gateway classes with distinct CPU, power and privacy weights"
+            }
+            World::FarEdge => {
+                "far-edge deployment: 2–5 km clients with weak channels and 0.5 W amplifiers"
+            }
+            World::BurstyWorkload => {
+                "heavy-tailed workload: bounded-Pareto upload sizes and token counts (few clients carry most load)"
+            }
+        }
+    }
+
+    fn num_clients(&self) -> usize {
+        match self {
+            World::PaperDefault => 6,
+            World::DenseCell => 32,
+            World::HeterogeneousDevices => 12,
+            World::FarEdge => 8,
+            World::BurstyWorkload => 10,
+        }
+    }
+
+    fn generate(&self, seed: u64) -> MecScenario {
+        let num_clients = self.num_clients();
+        match self {
+            World::PaperDefault => MecScenario::paper_with_num_clients(num_clients, seed),
+            World::DenseCell => dense_cell(num_clients, seed),
+            World::HeterogeneousDevices => heterogeneous_devices(num_clients, seed),
+            World::FarEdge => far_edge(num_clients, seed),
+            World::BurstyWorkload => bursty_workload(num_clients, seed),
+        }
+    }
+}
+
+/// Samples an area-uniform position in the annulus between the two radii
+/// and the composite channel gain at that distance: `(distance, gain)`.
 fn place_client<R: Rng + ?Sized>(
     rng: &mut R,
     channel: &ChannelModel,
     min_radius_m: f64,
     max_radius_m: f64,
 ) -> (f64, f64) {
-    assert!(
-        min_radius_m > 0.0 && min_radius_m < max_radius_m,
-        "client placement requires 0 < min radius < max radius, got {min_radius_m}..{max_radius_m} m"
-    );
     let min_sq = (min_radius_m / max_radius_m).powi(2);
     let radius = max_radius_m * rng.gen_range(min_sq..1.0f64).sqrt();
     let gain = channel
@@ -64,316 +121,102 @@ fn place_client<R: Rng + ?Sized>(
     (radius, gain)
 }
 
-/// The paper's Section VI-A world: six clients uniform in a 1 km cell with
-/// the NLP workload (equivalent to [`MecScenario::paper_default`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PaperDefault;
-
-impl ScenarioGenerator for PaperDefault {
-    fn name(&self) -> &str {
-        "paper_default"
-    }
-
-    fn description(&self) -> &str {
-        "the paper's Section VI-A world: 6 clients uniform in a 1 km cell, NLP workload"
-    }
-
-    fn num_clients(&self) -> usize {
-        6
-    }
-
-    fn generate(&self, seed: u64) -> MecScenario {
-        MecScenario::paper_default(seed)
-    }
+/// Budgets grow with the population relative to the paper's six-client
+/// cell, so the per-client share of bandwidth and server CPU is preserved
+/// and the scenario stresses allocation, not starvation.
+fn scaled_cell(clients: Vec<ClientProfile>, channel: &ChannelModel) -> MecScenario {
+    let scale = clients.len() as f64 / 6.0;
+    MecScenario::new(
+        clients,
+        10e6 * scale,
+        20e9 * scale,
+        1e-28,
+        channel.noise_psd,
+    )
+    .expect("population-scaled budgets are positive")
 }
 
-/// A dense small cell: many clients packed into a tight radius, with the
-/// shared budgets scaled up so the per-client share stays workable.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct DenseCell {
-    /// Number of clients in the cell (the paper uses 6; dense studies use
-    /// 32–128).
-    pub num_clients: usize,
-    /// Cell radius in metres.
-    pub cell_radius_m: f64,
-}
-
-impl Default for DenseCell {
-    fn default() -> Self {
-        Self {
-            num_clients: 32,
-            cell_radius_m: 500.0,
-        }
-    }
-}
-
-impl ScenarioGenerator for DenseCell {
-    fn name(&self) -> &str {
-        "dense_cell"
-    }
-
-    fn description(&self) -> &str {
-        "dense small cell: 32+ clients in a 500 m radius, budgets scaled with the population"
-    }
-
-    fn num_clients(&self) -> usize {
-        self.num_clients
-    }
-
-    fn generate(&self, seed: u64) -> MecScenario {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let channel = ChannelModel::default();
-        // The dead-zone floor shrinks with the cell so small custom radii
-        // still describe a non-empty annulus.
-        let min_radius = 25.0_f64.min(0.05 * self.cell_radius_m);
-        let clients = (0..self.num_clients)
-            .map(|i| {
-                let (radius, gain) =
-                    place_client(&mut rng, &channel, min_radius, self.cell_radius_m);
-                ClientProfile {
-                    distance_m: radius,
-                    channel_gain: gain,
-                    upload_bits: 3e9,
-                    tokens: 160.0,
-                    tokens_per_sample: 10.0,
-                    encryption_cycles: 1e6,
-                    client_capacitance: 1e-28,
-                    max_client_frequency_hz: 3e9,
-                    max_power_w: 0.2,
-                    privacy_weight: MecScenario::PAPER_PRIVACY_WEIGHTS
-                        [i % MecScenario::PAPER_PRIVACY_WEIGHTS.len()],
-                }
-            })
-            .collect();
-        // Budgets grow with the population relative to the paper's six-client
-        // cell, so the per-client share of bandwidth/server CPU is preserved
-        // and the scenario stresses allocation, not starvation.
-        let scale = self.num_clients as f64 / 6.0;
-        MecScenario::new(
-            clients,
-            10e6 * scale,
-            20e9 * scale,
-            1e-28,
-            channel.noise_psd,
-        )
-        .expect("dense-cell parameters are positive")
-    }
+/// A dense small cell: the paper's clients packed into a 500 m radius.
+fn dense_cell(num_clients: usize, seed: u64) -> MecScenario {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let channel = ChannelModel::default();
+    let clients = (0..num_clients)
+        .map(|i| {
+            let (radius, gain) = place_client(&mut rng, &channel, 25.0, 500.0);
+            ClientProfile::paper(radius, gain, i)
+        })
+        .collect();
+    scaled_cell(clients, &channel)
 }
 
 /// A mixed fleet of device classes — phones, laptops and edge gateways — with
 /// different CPU budgets, power amplifiers, switched capacitances and privacy
-/// weights.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct HeterogeneousDevices {
-    /// Number of clients (devices are assigned to classes seed-randomly).
-    pub num_clients: usize,
+/// weights. Each client draws its class, then its position.
+fn heterogeneous_devices(num_clients: usize, seed: u64) -> MecScenario {
+    // `(max CPU Hz, max power W, capacitance, privacy weight)` per class.
+    const DEVICE_CLASSES: [(f64, f64, f64, f64); 3] = [
+        (1.5e9, 0.1, 3e-28, 0.3),  // phone: weak CPU, privacy-sensitive
+        (3.0e9, 0.2, 1e-28, 0.1),  // laptop: the paper's client
+        (4.5e9, 0.4, 5e-29, 0.05), // edge gateway: strong CPU, aggregated data
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let channel = ChannelModel::default();
+    let clients = (0..num_clients)
+        .map(|_| {
+            let (max_freq, max_power, capacitance, privacy) =
+                DEVICE_CLASSES[rng.gen_range(0..DEVICE_CLASSES.len())];
+            let (radius, gain) = place_client(&mut rng, &channel, 50.0, 1000.0);
+            ClientProfile {
+                client_capacitance: capacitance,
+                max_client_frequency_hz: max_freq,
+                max_power_w: max_power,
+                privacy_weight: privacy,
+                ..ClientProfile::paper(radius, gain, 0)
+            }
+        })
+        .collect();
+    scaled_cell(clients, &channel)
 }
 
-impl Default for HeterogeneousDevices {
-    fn default() -> Self {
-        Self { num_clients: 12 }
-    }
+/// Far-edge clients: 2–5 km away (rural and industrial deployments), with
+/// weak channels and a 0.5 W amplifier to partially compensate.
+fn far_edge(num_clients: usize, seed: u64) -> MecScenario {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let channel = ChannelModel::default();
+    let clients = (0..num_clients)
+        .map(|i| {
+            let (radius, gain) = place_client(&mut rng, &channel, 2_000.0, 5_000.0);
+            ClientProfile {
+                max_power_w: 0.5,
+                ..ClientProfile::paper(radius, gain, i)
+            }
+        })
+        .collect();
+    scaled_cell(clients, &channel)
 }
 
-/// One device class of [`HeterogeneousDevices`]:
-/// `(max CPU Hz, max power W, capacitance, privacy weight)`.
-const DEVICE_CLASSES: [(f64, f64, f64, f64); 3] = [
-    (1.5e9, 0.1, 3e-28, 0.3),  // phone: weak CPU, privacy-sensitive
-    (3.0e9, 0.2, 1e-28, 0.1),  // laptop: the paper's client
-    (4.5e9, 0.4, 5e-29, 0.05), // edge gateway: strong CPU, aggregated data
-];
-
-impl ScenarioGenerator for HeterogeneousDevices {
-    fn name(&self) -> &str {
-        "heterogeneous_devices"
-    }
-
-    fn description(&self) -> &str {
-        "mixed device fleet: phone / laptop / edge-gateway classes with distinct CPU, power and privacy weights"
-    }
-
-    fn num_clients(&self) -> usize {
-        self.num_clients
-    }
-
-    fn generate(&self, seed: u64) -> MecScenario {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let channel = ChannelModel::default();
-        let clients = (0..self.num_clients)
-            .map(|_| {
-                let (max_freq, max_power, capacitance, privacy) =
-                    DEVICE_CLASSES[rng.gen_range(0..DEVICE_CLASSES.len())];
-                let (radius, gain) = place_client(&mut rng, &channel, 50.0, 1000.0);
-                ClientProfile {
-                    distance_m: radius,
-                    channel_gain: gain,
-                    upload_bits: 3e9,
-                    tokens: 160.0,
-                    tokens_per_sample: 10.0,
-                    encryption_cycles: 1e6,
-                    client_capacitance: capacitance,
-                    max_client_frequency_hz: max_freq,
-                    max_power_w: max_power,
-                    privacy_weight: privacy,
-                }
-            })
-            .collect();
-        let scale = self.num_clients as f64 / 6.0;
-        MecScenario::new(
-            clients,
-            10e6 * scale,
-            20e9 * scale,
-            1e-28,
-            channel.noise_psd,
-        )
-        .expect("device-class parameters are positive")
-    }
-}
-
-/// Far-edge clients: long distances (rural/industrial deployments), weak
-/// channels, and a stronger power amplifier to partially compensate.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct FarEdge {
-    /// Number of clients.
-    pub num_clients: usize,
-    /// Minimum client distance in metres.
-    pub min_distance_m: f64,
-    /// Maximum client distance in metres.
-    pub max_distance_m: f64,
-}
-
-impl Default for FarEdge {
-    fn default() -> Self {
-        Self {
-            num_clients: 8,
-            min_distance_m: 2_000.0,
-            max_distance_m: 5_000.0,
-        }
-    }
-}
-
-impl ScenarioGenerator for FarEdge {
-    fn name(&self) -> &str {
-        "far_edge"
-    }
-
-    fn description(&self) -> &str {
-        "far-edge deployment: 2–5 km clients with weak channels and 0.5 W amplifiers"
-    }
-
-    fn num_clients(&self) -> usize {
-        self.num_clients
-    }
-
-    fn generate(&self, seed: u64) -> MecScenario {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let channel = ChannelModel::default();
-        let clients = (0..self.num_clients)
-            .map(|i| {
-                let (radius, gain) =
-                    place_client(&mut rng, &channel, self.min_distance_m, self.max_distance_m);
-                ClientProfile {
-                    distance_m: radius,
-                    channel_gain: gain,
-                    upload_bits: 3e9,
-                    tokens: 160.0,
-                    tokens_per_sample: 10.0,
-                    encryption_cycles: 1e6,
-                    client_capacitance: 1e-28,
-                    max_client_frequency_hz: 3e9,
-                    max_power_w: 0.5,
-                    privacy_weight: MecScenario::PAPER_PRIVACY_WEIGHTS
-                        [i % MecScenario::PAPER_PRIVACY_WEIGHTS.len()],
-                }
-            })
-            .collect();
-        let scale = self.num_clients as f64 / 6.0;
-        MecScenario::new(
-            clients,
-            10e6 * scale,
-            20e9 * scale,
-            1e-28,
-            channel.noise_psd,
-        )
-        .expect("far-edge parameters are positive")
-    }
-}
-
-/// A bursty workload: upload sizes and token counts follow a heavy-tailed
-/// (bounded Pareto) distribution, so a few clients carry most of the load.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct BurstyWorkload {
-    /// Number of clients.
-    pub num_clients: usize,
-    /// Pareto tail index; smaller means heavier tails (must be positive).
-    pub tail_index: f64,
-}
-
-impl Default for BurstyWorkload {
-    fn default() -> Self {
-        Self {
-            num_clients: 10,
-            tail_index: 1.2,
-        }
-    }
-}
-
-impl BurstyWorkload {
-    /// A bounded Pareto(`tail_index`) multiplier in `[1, cap]` via inverse-CDF
-    /// sampling.
-    fn heavy_tail<R: Rng + ?Sized>(&self, rng: &mut R, cap: f64) -> f64 {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        (1.0 / u.powf(1.0 / self.tail_index)).min(cap)
-    }
-}
-
-impl ScenarioGenerator for BurstyWorkload {
-    fn name(&self) -> &str {
-        "bursty_workload"
-    }
-
-    fn description(&self) -> &str {
-        "heavy-tailed workload: bounded-Pareto upload sizes and token counts (few clients carry most load)"
-    }
-
-    fn num_clients(&self) -> usize {
-        self.num_clients
-    }
-
-    fn generate(&self, seed: u64) -> MecScenario {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let channel = ChannelModel::default();
-        let clients = (0..self.num_clients)
-            .map(|i| {
-                let (radius, gain) = place_client(&mut rng, &channel, 50.0, 1000.0);
-                let burst = self.heavy_tail(&mut rng, 20.0);
-                // Tokens scale with the same burst so compute load follows the
-                // upload load; tokens_per_sample stays at the paper's 10.
-                ClientProfile {
-                    distance_m: radius,
-                    channel_gain: gain,
-                    upload_bits: 1e9 * burst,
-                    tokens: (40.0 * burst).round(),
-                    tokens_per_sample: 10.0,
-                    encryption_cycles: 1e6,
-                    client_capacitance: 1e-28,
-                    max_client_frequency_hz: 3e9,
-                    max_power_w: 0.2,
-                    privacy_weight: MecScenario::PAPER_PRIVACY_WEIGHTS
-                        [i % MecScenario::PAPER_PRIVACY_WEIGHTS.len()],
-                }
-            })
-            .collect();
-        let scale = self.num_clients as f64 / 6.0;
-        MecScenario::new(
-            clients,
-            10e6 * scale,
-            20e9 * scale,
-            1e-28,
-            channel.noise_psd,
-        )
-        .expect("bursty-workload parameters are positive")
-    }
+/// A bursty workload: upload sizes and token counts follow a bounded
+/// Pareto distribution with tail index 1.2, so a few clients carry most of
+/// the load. Each client draws its position, then its burst.
+fn bursty_workload(num_clients: usize, seed: u64) -> MecScenario {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let channel = ChannelModel::default();
+    let clients = (0..num_clients)
+        .map(|i| {
+            let (radius, gain) = place_client(&mut rng, &channel, 50.0, 1000.0);
+            // Inverse-CDF sample of the multiplier, capped at 20.
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let burst = (1.0 / u.powf(1.0 / 1.2)).min(20.0);
+            // Tokens scale with the same burst so compute load follows the
+            // upload load; tokens_per_sample stays at the paper's 10.
+            ClientProfile {
+                upload_bits: 1e9 * burst,
+                tokens: (40.0 * burst).round(),
+                ..ClientProfile::paper(radius, gain, i)
+            }
+        })
+        .collect();
+    scaled_cell(clients, &channel)
 }
 
 /// A name-keyed collection of scenario generators.
@@ -402,19 +245,18 @@ impl ScenarioRegistry {
     }
 
     /// The registry of built-in worlds: `paper_default`, `dense_cell`,
-    /// `heterogeneous_devices`, `far_edge` and `bursty_workload`, each with
-    /// its default knobs.
+    /// `heterogeneous_devices`, `far_edge` and `bursty_workload`.
     pub fn builtin() -> Self {
         let mut registry = Self::new();
-        for generator in [
-            Box::new(PaperDefault) as Box<dyn ScenarioGenerator>,
-            Box::new(DenseCell::default()),
-            Box::new(HeterogeneousDevices::default()),
-            Box::new(FarEdge::default()),
-            Box::new(BurstyWorkload::default()),
+        for world in [
+            World::PaperDefault,
+            World::DenseCell,
+            World::HeterogeneousDevices,
+            World::FarEdge,
+            World::BurstyWorkload,
         ] {
             registry
-                .register(generator)
+                .register(Box::new(world))
                 .expect("built-in names are unique");
         }
         registry
@@ -544,12 +386,15 @@ mod tests {
 
     #[test]
     fn paper_default_generator_matches_the_legacy_constructor() {
-        assert_eq!(PaperDefault.generate(9), MecScenario::paper_default(9));
+        assert_eq!(
+            World::PaperDefault.generate(9),
+            MecScenario::paper_default(9)
+        );
     }
 
     #[test]
     fn dense_cell_packs_clients_into_the_small_cell() {
-        let scenario = DenseCell::default().generate(5);
+        let scenario = World::DenseCell.generate(5);
         assert_eq!(scenario.num_clients(), 32);
         for client in scenario.clients() {
             assert!(client.distance_m <= 500.0);
@@ -560,7 +405,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_fleet_mixes_device_classes() {
-        let scenario = HeterogeneousDevices { num_clients: 24 }.generate(3);
+        let scenario = heterogeneous_devices(24, 3);
         let mut frequencies: Vec<f64> = scenario
             .clients()
             .iter()
@@ -576,7 +421,7 @@ mod tests {
 
     #[test]
     fn far_edge_clients_are_distant_and_weak() {
-        let far = FarEdge::default().generate(2);
+        let far = World::FarEdge.generate(2);
         let near = MecScenario::paper_default(2);
         for client in far.clients() {
             assert!(client.distance_m >= 2_000.0 && client.distance_m <= 5_000.0);
@@ -589,11 +434,7 @@ mod tests {
 
     #[test]
     fn bursty_workload_is_heavy_tailed() {
-        let scenario = BurstyWorkload {
-            num_clients: 64,
-            ..BurstyWorkload::default()
-        }
-        .generate(11);
+        let scenario = bursty_workload(64, 11);
         let mut uploads: Vec<f64> = scenario.clients().iter().map(|c| c.upload_bits).collect();
         uploads.sort_by(|a, b| b.partial_cmp(a).unwrap());
         let total: f64 = uploads.iter().sum();
@@ -606,30 +447,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "min radius < max radius")]
-    fn empty_annulus_panics_with_a_clear_message() {
-        FarEdge {
-            num_clients: 2,
-            min_distance_m: 5_000.0,
-            max_distance_m: 2_000.0,
-        }
-        .generate(1);
-    }
-
-    #[test]
-    fn dense_cell_supports_small_custom_radii() {
-        let scenario = DenseCell {
-            num_clients: 4,
-            cell_radius_m: 60.0,
-        }
-        .generate(1);
-        assert!(scenario.clients().iter().all(|c| c.distance_m <= 60.0));
-    }
-
-    #[test]
     fn duplicate_registration_is_rejected() {
         let mut registry = builtin_generators();
-        let err = registry.register(Box::new(PaperDefault)).unwrap_err();
+        let err = registry
+            .register(Box::new(World::PaperDefault))
+            .unwrap_err();
         assert!(err.to_string().contains("already registered"));
     }
 

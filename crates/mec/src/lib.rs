@@ -18,9 +18,10 @@
 //! * [`scenario`] — the Section VI-A evaluation scenario: six clients placed
 //!   uniformly in a 1 km disk, with the paper's workload sizes, CPU budgets
 //!   and weights,
-//! * [`generator`] — seed-deterministic scenario generators beyond the
-//!   paper's world (dense cells, heterogeneous fleets, far-edge deployments,
-//!   bursty workloads) and the named [`generator::ScenarioRegistry`],
+//! * [`generator`] — the [`generator::ScenarioGenerator`] trait and the
+//!   named [`generator::ScenarioRegistry`], whose built-in worlds beyond the
+//!   paper's (dense cells, heterogeneous fleets, far-edge deployments,
+//!   bursty workloads) are seed-deterministic functions,
 //! * [`dynamic`] — dynamic worlds: discrete scenario events (client churn,
 //!   channel drift, load bursts, deadline tightening) and seed-deterministic
 //!   event traces for the online engine in `quhe-core`.
@@ -65,10 +66,7 @@ pub mod prelude {
     };
     pub use crate::error::{MecError, MecResult};
     pub use crate::fdma::BandwidthBudget;
-    pub use crate::generator::{
-        BurstyWorkload, DenseCell, FarEdge, HeterogeneousDevices, PaperDefault, ScenarioGenerator,
-        ScenarioRegistry,
-    };
+    pub use crate::generator::{ScenarioGenerator, ScenarioRegistry};
     pub use crate::scenario::{ClientProfile, MecScenario};
     pub use crate::shannon::{uplink_rate, RatePoint};
     pub use crate::transmission::{transmission_cost, TransmissionCost};

@@ -7,8 +7,8 @@
 //! 3 GHz CPU, a 0.2 W power amplifier and a `10^-28` switched capacitance.
 //! The server offers 20 GHz of compute and 10 MHz of FDMA bandwidth.
 
-use rand::Rng;
-use rand::SeedableRng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::channel::ChannelModel;
 use crate::compute::{ClientComputeParams, ServerComputeParams};
@@ -41,6 +41,25 @@ pub struct ClientProfile {
 }
 
 impl ClientProfile {
+    /// The paper's Section VI-A client at `distance_m` with channel gain
+    /// `channel_gain`: the NLP workload, a 3 GHz CPU, a 0.2 W amplifier and
+    /// the privacy weight at `ordinal` in the cycle of the paper's values.
+    pub(crate) fn paper(distance_m: f64, channel_gain: f64, ordinal: usize) -> Self {
+        Self {
+            distance_m,
+            channel_gain,
+            upload_bits: 3e9,
+            tokens: 160.0,
+            tokens_per_sample: 10.0,
+            encryption_cycles: 1e6,
+            client_capacitance: 1e-28,
+            max_client_frequency_hz: 3e9,
+            max_power_w: 0.2,
+            privacy_weight: MecScenario::PAPER_PRIVACY_WEIGHTS
+                [ordinal % MecScenario::PAPER_PRIVACY_WEIGHTS.len()],
+        }
+    }
+
     /// The client-compute parameter block for [`crate::compute`].
     pub fn client_compute_params(&self) -> ClientComputeParams {
         ClientComputeParams {
@@ -48,6 +67,16 @@ impl ClientProfile {
             switched_capacitance: self.client_capacitance,
         }
     }
+}
+
+/// Samples an area-uniform position in the paper's 1 km cell, at least
+/// 50 m from the server, and the channel gain there: `(distance, gain)`.
+pub(crate) fn place_in_paper_cell(rng: &mut StdRng, channel: &ChannelModel) -> (f64, f64) {
+    let radius = 1000.0 * rng.gen_range(0.0f64..1.0).sqrt().max(0.05);
+    let gain = channel
+        .sample_gain(radius, rng)
+        .expect("radius is positive");
+    (radius, gain)
 }
 
 /// The full MEC-side scenario: per-client profiles plus shared budgets.
@@ -121,28 +150,12 @@ impl MecScenario {
     /// Panics if `num_clients` is zero.
     pub fn paper_with_num_clients(num_clients: usize, seed: u64) -> Self {
         assert!(num_clients > 0, "scenario requires at least one client");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let channel = ChannelModel::default();
         let clients = (0..num_clients)
             .map(|i| {
-                // Uniform placement in a disk of radius 1000 m (area-uniform).
-                let radius = 1000.0 * rng.gen_range(0.0f64..1.0).sqrt().max(0.05);
-                let gain = channel
-                    .sample_gain(radius, &mut rng)
-                    .expect("radius is positive");
-                ClientProfile {
-                    distance_m: radius,
-                    channel_gain: gain,
-                    upload_bits: 3e9,
-                    tokens: 160.0,
-                    tokens_per_sample: 10.0,
-                    encryption_cycles: 1e6,
-                    client_capacitance: 1e-28,
-                    max_client_frequency_hz: 3e9,
-                    max_power_w: 0.2,
-                    privacy_weight: Self::PAPER_PRIVACY_WEIGHTS
-                        [i % Self::PAPER_PRIVACY_WEIGHTS.len()],
-                }
+                let (radius, gain) = place_in_paper_cell(&mut rng, &channel);
+                ClientProfile::paper(radius, gain, i)
             })
             .collect();
         Self {

@@ -536,6 +536,19 @@ mod tests {
                 "spec.multi_start_budget 18446744073709551615 exceeds the service limit of 64",
             ),
             (
+                "{\"scenario\": {\"catalog\": \"x\", \"seed\": 1}, \"spec\": \
+                 {\"start\": {\"mode\": \"bogus\"}, \"multi_start\": null, \
+                 \"multi_start_budget\": null, \"threads\": null, \"tolerance\": null, \
+                 \"instrumentation\": \"standard\"}}",
+                "malformed SolveSpec JSON: unknown start mode 'bogus'",
+            ),
+            (
+                "{\"scenario\": {\"catalog\": \"x\", \"seed\": 1}, \"spec\": \
+                 {\"start\": {\"mode\": \"cold\"}, \"multi_start_budget\": null, \
+                 \"threads\": null, \"tolerance\": null, \"instrumentation\": \"standard\"}}",
+                "malformed SolveSpec JSON: missing field 'multi_start'",
+            ),
+            (
                 "{\"scenario\": {\"catalog\": \"x\", \"inline\": {\"num_clients\": 6, \
                  \"seed\": 1}}}",
                 "mixes 'inline' with 'catalog'",

@@ -439,8 +439,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the worker-thread count used by the network front end and as
-    /// the default of batch serving (`0` sizes to the machine).
+    /// Sets the worker-thread count of the network front end (`0` sizes to
+    /// the machine).
     #[must_use]
     pub fn with_worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = threads;

@@ -13,7 +13,7 @@
 //! | [`mec`] | `quhe-mec` | Wireless channel + Shannon rate, transmission/computation delay and energy models, scenario generation |
 //! | [`opt`] | `quhe-opt` | Projected gradient, Newton, log-barrier interior point, fractional programming, simulated annealing, random search |
 //! | [`core`] | `quhe-core` | Problem P1, the three-stage QuHE algorithm, baselines (AA/OLAA/OCCR, GD/SA/RS), metrics and the optimality study |
-//! | [`serve`] | `quhe-serve` | Solve service: JSON request/response protocol, content-addressed scenario cache, warm-start reuse, multi-worker batch serving |
+//! | [`serve`] | `quhe-serve` | Solve service: JSON request/response protocol, content-addressed scenario cache, warm-start reuse, multi-worker TCP serving |
 //!
 //! # Quickstart
 //!
