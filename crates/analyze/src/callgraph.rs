@@ -22,6 +22,13 @@
 //!   ubiquitous std-collection methods (`len`, `insert`, `get`, ...) are
 //!   exempt from this fallback — an edge from every `.get(` into an
 //!   unrelated workspace `get` would drown the graph in noise.
+//! - A function passed by path as the sole argument of a method call —
+//!   `.then(f)`, `.map(Owner::f)`, `.map(module::f)` — is called by that
+//!   method, so the path is a call site too, resolved by the rules above.
+//!   Such a path that names no workspace function is not counted as a site
+//!   at all: it is a local at least as often as an external function, and a
+//!   local that shares a workspace function's name gets that function's
+//!   edge (an over-approximation).
 //! - Call sites whose callee name exists nowhere in the workspace are
 //!   *external* (std or vendored) and produce no edge.
 //!
@@ -236,7 +243,6 @@ impl CallGraph {
                 continue;
             };
             for site in call_sites(file, open, close) {
-                stats.call_sites += 1;
                 let candidates = resolve(
                     &site.callee,
                     node,
@@ -246,6 +252,10 @@ impl CallGraph {
                     &by_owner,
                     &free_fns,
                 );
+                if site.passed && candidates.is_empty() {
+                    continue;
+                }
+                stats.call_sites += 1;
                 match candidates.len() {
                     0 => stats.external += 1,
                     1 => stats.resolved += 1,
@@ -327,6 +337,8 @@ impl CallGraph {
 struct CallSite {
     line: u32,
     callee: Callee,
+    /// Whether the callee is passed by path to a method rather than called.
+    passed: bool,
 }
 
 /// Extracts call sites from the body token range `(open, close)`.
@@ -361,6 +373,15 @@ fn call_sites(file: &SourceFile, open: usize, close: usize) -> Vec<CallSite> {
         // Classify by what precedes the name.
         let callee = if i >= 1 && tokens[i - 1].is_punct('.') {
             // `receiver.name(...)`: macro bang impossible here.
+            if tokens.get(after).is_some_and(|t| t.is_punct('(')) {
+                if let Some(callee) = passed_function(tokens, after + 1) {
+                    sites.push(CallSite {
+                        line: tokens[after + 1].line,
+                        callee,
+                        passed: true,
+                    });
+                }
+            }
             let self_receiver = i >= 2 && tokens[i - 2].ident() == Some("self");
             Callee::Method {
                 name: name.clone(),
@@ -398,9 +419,41 @@ fn call_sites(file: &SourceFile, open: usize, close: usize) -> Vec<CallSite> {
         sites.push(CallSite {
             line: tokens[i].line,
             callee,
+            passed: false,
         });
     }
     sites
+}
+
+/// The function a method call's argument list names by path, when a path
+/// is its sole argument: `f`, `Owner::f` or `module::f` between the
+/// parentheses, `args` being the index just past the `(`. A capitalized
+/// bare argument is a constructor or a value, not a function.
+fn passed_function(tokens: &[crate::lexer::Token], args: usize) -> Option<Callee> {
+    let ident = |j: usize| tokens.get(j).and_then(|t| t.ident());
+    let punct = |j: usize, c: char| tokens.get(j).is_some_and(|t| t.is_punct(c));
+    let first = ident(args)?;
+    if punct(args + 1, ')') {
+        let value = starts_upper(first) || first == "self" || NON_CALL_KEYWORDS.contains(&first);
+        return (!value).then(|| Callee::Bare {
+            name: first.to_string(),
+        });
+    }
+    if !(punct(args + 1, ':') && punct(args + 2, ':') && punct(args + 4, ')')) {
+        return None;
+    }
+    let name = ident(args + 3)?.to_string();
+    Some(if starts_upper(first) {
+        Callee::Qualified {
+            owner: first.to_string(),
+            name,
+        }
+    } else {
+        Callee::Path {
+            module: first.to_string(),
+            name,
+        }
+    })
 }
 
 /// Resolves a callee to candidate node indices (empty = external).
@@ -552,6 +605,69 @@ mod tests {
             .position(|n| n.display() == "caller")
             .unwrap();
         assert_eq!(g.nodes[g.edges[idx][0].to].file, "a.rs");
+        assert_eq!(g.stats.resolved, 1);
+        assert_eq!(g.stats.unresolved, 0);
+    }
+
+    #[test]
+    fn a_bare_function_passed_to_a_method_is_called() {
+        let g = graph(&[(
+            "a.rs",
+            "fn build() -> u32 { 1 }\n\
+             fn caller(on: bool) -> Option<u32> { on.then(build) }",
+        )]);
+        assert_eq!(edge_names(&g, "caller"), vec!["build"]);
+        assert_eq!(g.stats.resolved, 1);
+    }
+
+    #[test]
+    fn an_owner_qualified_function_passed_to_a_method_is_called() {
+        let g = graph(&[(
+            "a.rs",
+            "struct Served;\n\
+             struct Other;\n\
+             impl Served { fn into_response(self) -> u32 { 1 } }\n\
+             impl Other { fn into_response(self) -> u32 { 2 } }\n\
+             fn caller(x: Option<Served>) -> Option<u32> { x.map(Served::into_response) }",
+        )]);
+        assert_eq!(edge_names(&g, "caller"), vec!["Served::into_response"]);
+        assert_eq!(g.stats.resolved, 1);
+    }
+
+    #[test]
+    fn a_module_path_function_passed_to_a_method_is_called() {
+        let g = graph(&[
+            ("crates/x/src/alpha.rs", "pub fn parse(x: u32) -> u32 { x }"),
+            ("crates/x/src/beta.rs", "pub fn parse(x: u32) -> u32 { x }"),
+            (
+                "crates/x/src/lib.rs",
+                "fn caller(x: Option<u32>) -> Option<u32> { x.map(beta::parse) }",
+            ),
+        ]);
+        let idx = g
+            .nodes
+            .iter()
+            .position(|n| n.display() == "caller")
+            .unwrap();
+        let files: Vec<&str> = g.edges[idx]
+            .iter()
+            .map(|e| g.nodes[e.to].file.as_str())
+            .collect();
+        assert_eq!(files, vec!["crates/x/src/beta.rs"]);
+        assert_eq!(g.stats.resolved, 1);
+    }
+
+    #[test]
+    fn a_local_passed_to_a_method_makes_no_edge() {
+        let g = graph(&[(
+            "a.rs",
+            "fn helper() {}\n\
+             fn caller(xs: &mut Vec<u32>, item: u32, n: u32) { helper(); xs.push(item); \
+             xs.extend(n, item); }",
+        )]);
+        assert_eq!(edge_names(&g, "caller"), vec!["helper"]);
+        // `helper`, `push` and `extend`: the local `item` is no call site.
+        assert_eq!(g.stats.call_sites, 3);
         assert_eq!(g.stats.resolved, 1);
         assert_eq!(g.stats.unresolved, 0);
     }

@@ -55,6 +55,12 @@ pub fn client_encryption_cost(
     })
 }
 
+/// The smallest CKKS ring degree the fitted cycle model of
+/// [`server_computation_cost`] covers (`2^15`, the paper's smallest
+/// candidate): below it the model's cycle count per sample is not
+/// positive.
+pub const MIN_CYCLE_MODEL_DEGREE: u64 = 1 << 15;
+
 /// Parameters of one client's server-side workload.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ServerComputeParams {
@@ -107,7 +113,8 @@ pub fn server_computation_cost(
     if cycles_per_sample <= 0.0 {
         return Err(MecError::InvalidParameter {
             reason: format!(
-                "the fitted cycle model is non-positive at lambda = {lambda}; it is only valid for lambda >= 2^15"
+                "the fitted cycle model is non-positive at lambda = {lambda}; it is only valid for lambda >= 2^{}",
+                MIN_CYCLE_MODEL_DEGREE.trailing_zeros()
             ),
         });
     }

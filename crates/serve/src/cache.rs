@@ -1,7 +1,7 @@
 //! The content-addressed report cache behind the solve service.
 //!
-//! Entries are addressed two ways, both through the canonical scenario
-//! fingerprints of [`quhe_core::fingerprint`]:
+//! Entries are addressed three ways, the first two through the canonical
+//! scenario fingerprints of [`quhe_core::fingerprint`]:
 //!
 //! * **exact** — the full [`Fingerprint`] plus the solver name plus the
 //!   canonical spec key. A hit shares the stored entry and the report's wire
@@ -22,13 +22,23 @@
 //!   [`MAX_ANCHORS_PER_BUCKET`] anchors are kept per `(shape, solver)`
 //!   bucket; the least-recently-used excess anchor is *demoted* (it stays
 //!   exact-hittable, it just stops donating warm starts).
+//! * **request** — the canonical key of a request that resolved to the
+//!   entry: the request that stored it, or one whose exact lookup matched
+//!   it. A key lookup shares the same entry and bytes as an exact hit, with
+//!   no scenario in hand: the service registers a key only after resolving
+//!   that request and finding or storing the entry, and resolution is
+//!   deterministic, so a key always names the scenario it named then. Keys
+//!   are compared whole, so they add no collision case. An entry holds at
+//!   most one key (the first registered), so the key index is bounded by
+//!   the capacity, and an evicted entry takes its key along. Keys are not
+//!   snapshotted: a restored entry gets one on its first exact hit.
 //!
-//! Eviction is **LRU**: exact hits and anchor nominations both refresh an
-//! entry's recency, and at capacity the least-recently-used entry is evicted
-//! from both indexes. Every use stamps the entry from a monotonic clock, and
-//! the recency order is a map from stamp to entry, so a touch, insert or
-//! eviction costs O(log n) in the entry count (anchor ranking is linear in
-//! the — capped — bucket, not the cache).
+//! Eviction is **LRU**: exact and key hits and anchor nominations refresh
+//! an entry's recency, and at capacity the least-recently-used entry is
+//! evicted from every index. Every use stamps the entry from a monotonic
+//! clock, and the recency order is a map from stamp to entry, so a touch,
+//! insert or eviction costs O(log n) in the entry count (anchor ranking is
+//! linear in the — capped — bucket, not the cache).
 //!
 //! The cache keeps monotonic telemetry ([`CacheStats`]: hits, misses,
 //! insertions, evictions, anchor promotions/demotions) under the same mutex
@@ -183,6 +193,8 @@ struct Node {
     entry: Arc<CacheEntry>,
     report_json: Arc<str>,
     last_used: u64,
+    /// The request key registered for this entry, if any (at most one).
+    request_key: Option<Arc<str>>,
 }
 
 #[derive(Default)]
@@ -195,6 +207,8 @@ struct CacheInner {
     clock: u64,
     by_full: HashMap<u128, Vec<NodeId>>,
     by_shape: HashMap<u128, Vec<NodeId>>,
+    /// Every registered request key and the entry it resolved to.
+    by_request: HashMap<Arc<str>, NodeId>,
     stats: CacheStats,
 }
 
@@ -209,6 +223,47 @@ impl CacheInner {
         }
     }
 
+    /// Registers `key` as the request key of `id`, unless the entry already
+    /// has one or the key is taken.
+    fn register(&mut self, id: NodeId, key: &str) {
+        if self.by_request.contains_key(key) {
+            return;
+        }
+        let Some(node) = self.nodes.get_mut(&id).filter(|n| n.request_key.is_none()) else {
+            return;
+        };
+        let key: Arc<str> = key.into();
+        node.request_key = Some(Arc::clone(&key));
+        self.by_request.insert(key, id);
+    }
+
+    /// The first entry of the exact index matching all four fields.
+    fn find_exact(
+        &self,
+        fingerprint: Fingerprint,
+        scenario: &SystemScenario,
+        solver: &str,
+        spec_key: &str,
+    ) -> Option<NodeId> {
+        self.by_full
+            .get(&fingerprint.as_u128())?
+            .iter()
+            .copied()
+            .find(|id| {
+                let e = &self.nodes[id].entry;
+                e.solver == solver && e.spec_key == spec_key && e.scenario == *scenario
+            })
+    }
+
+    /// The entry and rendered bytes of `id`, sharing both with the cache.
+    fn stored(&self, id: NodeId) -> Stored {
+        let node = &self.nodes[&id];
+        Stored {
+            entry: Arc::clone(&node.entry),
+            report_json: Arc::clone(&node.report_json),
+        }
+    }
+
     fn remove_from_bucket(map: &mut HashMap<u128, Vec<NodeId>>, key: u128, id: NodeId) {
         if let Some(bucket) = map.get_mut(&key) {
             bucket.retain(|&other| other != id);
@@ -218,8 +273,8 @@ impl CacheInner {
         }
     }
 
-    /// Evicts the least-recently-used entry from the recency order and both
-    /// indexes. In-flight holders of the entry's `Arc` keep their reference
+    /// Evicts the least-recently-used entry from the recency order and every
+    /// index. In-flight holders of the entry's `Arc` keep their reference
     /// alive; the cache merely forgets its own.
     fn evict_lru(&mut self) {
         let Some((_, id)) = self.recency.pop_first() else {
@@ -230,6 +285,9 @@ impl CacheInner {
         };
         Self::remove_from_bucket(&mut self.by_full, node.entry.fingerprint.as_u128(), id);
         Self::remove_from_bucket(&mut self.by_shape, node.entry.shape.as_u128(), id);
+        if let Some(key) = &node.request_key {
+            self.by_request.remove(key);
+        }
         self.stats.evictions += 1;
     }
 
@@ -340,46 +398,49 @@ impl ScenarioCache {
         solver: &str,
         spec_key: &str,
     ) -> Option<SolveReport> {
-        self.lookup_stored(fingerprint, scenario, solver, spec_key)
+        self.lookup_stored(fingerprint, scenario, solver, spec_key, None)
             .map(|stored| stored.entry.report.clone())
     }
 
     /// [`ScenarioCache::lookup_exact`] without the copy: a hit clones the
     /// entry's two `Arc`s under the lock, so the report and its rendered
     /// bytes are shared with the cache. A hit refreshes the entry's LRU
-    /// recency.
+    /// recency, and registers `request_key` on the entry when it has none:
+    /// the caller resolved that request to `scenario`.
     pub(crate) fn lookup_stored(
         &self,
         fingerprint: Fingerprint,
         scenario: &SystemScenario,
         solver: &str,
         spec_key: &str,
+        request_key: Option<&str>,
     ) -> Option<Stored> {
         let mut inner = self.inner.lock();
-        let hit = inner
-            .by_full
-            .get(&fingerprint.as_u128())
-            .and_then(|bucket| {
-                bucket.iter().copied().find(|id| {
-                    let e = &inner.nodes[id].entry;
-                    e.solver == solver && e.spec_key == spec_key && e.scenario == *scenario
-                })
-            });
-        match hit {
-            Some(id) => {
-                inner.stats.exact_hits += 1;
-                inner.touch(id);
-                let node = &inner.nodes[&id];
-                Some(Stored {
-                    entry: Arc::clone(&node.entry),
-                    report_json: Arc::clone(&node.report_json),
-                })
-            }
-            None => {
-                inner.stats.exact_misses += 1;
-                None
-            }
+        let Some(id) = inner.find_exact(fingerprint, scenario, solver, spec_key) else {
+            inner.stats.exact_misses += 1;
+            return None;
+        };
+        inner.stats.exact_hits += 1;
+        inner.touch(id);
+        if let Some(key) = request_key {
+            inner.register(id, key);
         }
+        Some(inner.stored(id))
+    }
+
+    /// The entry a request key was registered on, shared as
+    /// [`ScenarioCache::lookup_stored`] shares it: no scenario, fingerprint
+    /// or equality check is needed, because the key was registered only
+    /// once its request had resolved to this entry. A hit counts as one
+    /// exact hit and refreshes the entry's LRU recency; a miss counts
+    /// nothing, since the caller falls back to an exact lookup that counts
+    /// it.
+    pub(crate) fn lookup_request(&self, request_key: &str) -> Option<Stored> {
+        let mut inner = self.inner.lock();
+        let id = *inner.by_request.get(request_key)?;
+        inner.stats.exact_hits += 1;
+        inner.touch(id);
+        Some(inner.stored(id))
     }
 
     /// Shape lookup: the **nearest** cached anchor of the same world shape
@@ -447,15 +508,17 @@ impl ScenarioCache {
     /// colliding on the full fingerprint still gets its own entry instead
     /// of being locked out of the cache.
     pub fn insert(&self, entry: CacheEntry) {
-        self.store(entry);
+        self.store(entry, None);
     }
 
     /// [`ScenarioCache::insert`], returning `entry` shared with the cache
     /// and its report rendered for the wire. The rendering happens before
     /// the lock is taken, once per stored report. A duplicate that is not
     /// re-inserted still returns its own entry and rendering, so the caller
-    /// serves the report it solved.
-    pub(crate) fn store(&self, entry: CacheEntry) -> Stored {
+    /// serves the report it solved. `request_key`, the key of the request
+    /// that resolved to `entry`'s scenario, is registered on the inserted
+    /// entry, or on the cached duplicate when it has no key yet.
+    pub(crate) fn store(&self, entry: CacheEntry, request_key: Option<&str>) -> Stored {
         let report_json: Arc<str> = wire::render_report(&entry.report).into();
         let entry = Arc::new(entry);
         let stored = Stored {
@@ -463,21 +526,19 @@ impl ScenarioCache {
             report_json: Arc::clone(&report_json),
         };
         let mut inner = self.inner.lock();
-        let duplicate = inner
-            .by_full
-            .get(&entry.fingerprint.as_u128())
-            .and_then(|bucket| {
-                bucket.iter().copied().find(|id| {
-                    let e = &inner.nodes[id].entry;
-                    e.solver == entry.solver
-                        && e.spec_key == entry.spec_key
-                        && e.scenario == entry.scenario
-                })
-            });
+        let duplicate = inner.find_exact(
+            entry.fingerprint,
+            &entry.scenario,
+            &entry.solver,
+            &entry.spec_key,
+        );
         if let Some(id) = duplicate {
             // The duplicate was just re-solved: it is recent even if the
             // stored copy is kept.
             inner.touch(id);
+            if let Some(key) = request_key {
+                inner.register(id, key);
+            }
             if entry.anchor {
                 if let Some(node) = inner.nodes.get_mut(&id).filter(|node| !node.entry.anchor) {
                     let mut promoted = (*node.entry).clone();
@@ -504,11 +565,15 @@ impl ScenarioCache {
                 entry: Arc::clone(&entry),
                 report_json,
                 last_used: stamp,
+                request_key: None,
             },
         );
         inner.recency.insert(stamp, id);
         inner.by_full.entry(full_key).or_default().push(id);
         inner.by_shape.entry(shape_key).or_default().push(id);
+        if let Some(key) = request_key {
+            inner.register(id, key);
+        }
         inner.stats.insertions += 1;
         if entry.anchor {
             inner.enforce_anchor_cap(shape_key, &entry.solver, id);
@@ -703,13 +768,13 @@ mod tests {
         let e = entry(1, "quhe", true);
         let (fp, scenario, spec_key) = (e.fingerprint, e.scenario.clone(), e.spec_key.clone());
         let expected = wire::render_report(&e.report);
-        let stored = cache.store(e);
+        let stored = cache.store(e, None);
         assert_eq!(&*stored.report_json, expected);
         let first = cache
-            .lookup_stored(fp, &scenario, "quhe", &spec_key)
+            .lookup_stored(fp, &scenario, "quhe", &spec_key, None)
             .unwrap();
         let second = cache
-            .lookup_stored(fp, &scenario, "quhe", &spec_key)
+            .lookup_stored(fp, &scenario, "quhe", &spec_key, None)
             .unwrap();
         // A hit that rendered its own bytes would hold a fresh allocation.
         assert!(Arc::ptr_eq(&first.report_json, &stored.report_json));
@@ -721,6 +786,135 @@ mod tests {
             .unwrap();
         assert_eq!(wire::render_report(&report), expected);
         assert_eq!(cache.stats().exact_hits, 3);
+    }
+
+    /// The `CacheStats` invariants, and a key index no larger than the
+    /// entry count.
+    fn assert_consistent(cache: &ScenarioCache) {
+        let stats = cache.stats();
+        assert_eq!(stats.exact_hits + stats.exact_misses, stats.exact_lookups());
+        assert_eq!(stats.insertions - stats.evictions, stats.entries as u64);
+        let inner = cache.inner.lock();
+        assert!(inner.by_request.len() <= inner.nodes.len(), "{stats:?}");
+        for (key, id) in &inner.by_request {
+            assert_eq!(inner.nodes[id].request_key.as_deref(), Some(&**key));
+        }
+    }
+
+    #[test]
+    fn a_request_key_hit_shares_the_entry_the_exact_lookup_finds() {
+        let cache = ScenarioCache::new(8);
+        let e = entry(1, "quhe", true);
+        let (fp, scenario, spec_key) = (e.fingerprint, e.scenario.clone(), e.spec_key.clone());
+        // A key miss counts nothing: the exact lookup that follows it does.
+        assert!(cache.lookup_request("k").is_none());
+        assert_eq!(cache.stats().exact_lookups(), 0);
+        let stored = cache.store(e, Some("k"));
+        let by_key = cache.lookup_request("k").unwrap();
+        let exact = cache
+            .lookup_stored(fp, &scenario, "quhe", &spec_key, None)
+            .unwrap();
+        for shared in [&by_key, &exact] {
+            assert!(Arc::ptr_eq(&shared.entry, &stored.entry));
+            assert!(Arc::ptr_eq(&shared.report_json, &stored.report_json));
+        }
+        // Each hit, by key or by fingerprint, is one exact lookup.
+        let stats = cache.stats();
+        assert_eq!((stats.exact_hits, stats.exact_misses), (2, 0));
+        assert!(cache.lookup_request("other").is_none());
+        assert_eq!(cache.stats(), stats);
+        assert_consistent(&cache);
+    }
+
+    #[test]
+    fn key_hits_refresh_recency_and_an_evicted_entry_takes_its_key() {
+        let cache = ScenarioCache::new(2);
+        cache.store(entry(1, "quhe", true), Some("a"));
+        cache.store(entry(2, "quhe", true), Some("b"));
+        // Touch A (the LRU) by key; storing C must now evict B.
+        assert!(cache.lookup_request("a").is_some());
+        cache.store(entry(3, "quhe", true), Some("c"));
+        assert!(cache.lookup_request("b").is_none());
+        assert!(cache.lookup_request("a").is_some());
+        assert!(cache.lookup_request("c").is_some());
+        assert_consistent(&cache);
+        // Stored again, B gets its key back; the LRU entry, A, goes.
+        cache.store(entry(2, "quhe", true), Some("b"));
+        assert!(cache.lookup_request("b").is_some());
+        assert!(cache.lookup_request("a").is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.insertions, stats.evictions), (4, 2));
+        assert_eq!(cache.inner.lock().by_request.len(), 2);
+        assert_consistent(&cache);
+    }
+
+    #[test]
+    fn an_entry_holds_at_most_one_request_key() {
+        let cache = ScenarioCache::new(8);
+        let e = entry(1, "quhe", true);
+        let (fp, scenario, spec_key) = (e.fingerprint, e.scenario.clone(), e.spec_key.clone());
+        cache.store(e, Some("first"));
+        // Neither a duplicate store nor a verified hit under another key
+        // replaces the first key or adds a second.
+        cache.store(entry(1, "quhe", true), Some("second"));
+        assert!(cache
+            .lookup_stored(fp, &scenario, "quhe", &spec_key, Some("third"))
+            .is_some());
+        assert!(cache.lookup_request("first").is_some());
+        assert!(cache.lookup_request("second").is_none());
+        assert!(cache.lookup_request("third").is_none());
+        // An entry stored without a key takes the first key that finds it.
+        let plain = entry(2, "quhe", true);
+        let (fp2, scenario2) = (plain.fingerprint, plain.scenario.clone());
+        cache.insert(plain);
+        assert!(cache
+            .lookup_stored(fp2, &scenario2, "quhe", &spec_key, Some("fourth"))
+            .is_some());
+        assert!(cache.lookup_request("fourth").is_some());
+        assert_eq!(cache.inner.lock().by_request.len(), 2);
+        assert_consistent(&cache);
+    }
+
+    #[test]
+    fn a_restored_entry_is_found_by_fingerprint_and_then_by_key() {
+        let cache = ScenarioCache::new(8);
+        let e = entry(1, "quhe", true);
+        let (fp, scenario, spec_key) = (e.fingerprint, e.scenario.clone(), e.spec_key.clone());
+        cache.store(e, Some("k"));
+        // The snapshot carries the entry's seven fields and no key.
+        let snapshot = cache.snapshot();
+        let fields: Vec<&str> = snapshot
+            .get("entries")
+            .and_then(JsonValue::as_array)
+            .unwrap()[0]
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                "fingerprint",
+                "shape",
+                "solver",
+                "spec_key",
+                "anchor",
+                "scenario",
+                "report"
+            ]
+        );
+        let restored = ScenarioCache::new(8);
+        restored.restore(&snapshot).unwrap();
+        assert!(restored.lookup_request("k").is_none());
+        let exact = restored
+            .lookup_stored(fp, &scenario, "quhe", &spec_key, Some("k"))
+            .unwrap();
+        let by_key = restored.lookup_request("k").unwrap();
+        assert!(Arc::ptr_eq(&exact.entry, &by_key.entry));
+        assert!(Arc::ptr_eq(&exact.report_json, &by_key.report_json));
+        assert_eq!(restored.stats().exact_hits, 2);
+        assert_consistent(&restored);
     }
 
     #[test]

@@ -207,15 +207,18 @@ mod tests {
         let report = QuheSolver::new(config).solve(&scenario, &spec).unwrap();
         FlightResult {
             leader_outcome: CacheOutcome::Cold,
-            stored: ScenarioCache::new(1).store(CacheEntry {
-                fingerprint: scenario.fingerprint(),
-                shape: scenario.shape_fingerprint(),
-                scenario,
-                solver: "quhe".to_string(),
-                spec_key: spec.to_json_value().to_compact_string(),
-                report,
-                anchor: false,
-            }),
+            stored: ScenarioCache::new(1).store(
+                CacheEntry {
+                    fingerprint: scenario.fingerprint(),
+                    shape: scenario.shape_fingerprint(),
+                    scenario,
+                    solver: "quhe".to_string(),
+                    spec_key: spec.to_json_value().to_compact_string(),
+                    report,
+                    anchor: false,
+                },
+                None,
+            ),
         }
     }
 

@@ -6,16 +6,29 @@
 //! ```text
 //!            accept thread          reader thread (per connection)
 //! TCP ──► TcpListener ──► TcpStream ──► FrameDecoder ──► parse envelope
-//!                                             │                │ full?
-//!                                   bounded admission queue ◄──┘
-//!                                             │                └──► shed
-//!                                     worker pool (N threads)       (v2 "overloaded")
-//!                                             │
-//!                                     SolveService::handle
-//!                                   (cache → singleflight → solve)
-//!                                             │
-//!                                     response frame ──► connection writer
+//!                                                              │
+//!                                                  request key cached? ── yes ──► hit frame
+//!                                                              │ no                   │
+//!                                                              │ full?                │
+//!                                   bounded admission queue ◄──┘                      │
+//!                                             │                └──► shed              │
+//!                                     worker pool (N threads)       (v2 "overloaded") │
+//!                                             │                                       │
+//!                                     SolveService::handle                            │
+//!                           (key → cache → singleflight → solve)                      │
+//!                                             │                                       │
+//!                                     response frame ──► connection writer ◄──────────┘
 //! ```
+//!
+//! * **Hits on the reader**: right after parsing a frame, the reader looks
+//!   the request's canonical key up in the cache (see
+//!   [`crate::service`]) and writes a hit itself, so a hit never waits for
+//!   a worker. Only misses enter the admission queue, so
+//!   [`NetStats::max_queue_depth`] counts misses only. The reader never
+//!   resolves a scenario: resolution can replay up to
+//!   [`MAX_DRIFT_STEP`](crate::request::MAX_DRIFT_STEP) drift steps, so it
+//!   stays on the workers, and a reader's work per frame stays bounded by
+//!   the frame.
 //!
 //! * **Framing and envelope** come from [`crate::wire`]: length-prefixed
 //!   JSON frames, `quhe-serve/v2` responses (v1 request bodies are accepted
@@ -27,7 +40,8 @@
 //!   the client learns within one round trip that it must back off.
 //! * **Pipelining**: a client may send many frames without waiting;
 //!   responses are correlated by `id` and may arrive out of order (workers
-//!   finish when they finish).
+//!   finish when they finish, and a hit pipelined behind a miss overtakes
+//!   it).
 //! * **Malformed input** never kills a connection that is still in frame
 //!   sync: garbage JSON and oversized frames are answered with error
 //!   envelopes and the reader resynchronizes on the next frame. A stream
@@ -38,7 +52,9 @@
 //! * **Slow readers**: a response frame not written within
 //!   [`WRITE_TIMEOUT`] fails, and a failed write shuts the connection down,
 //!   so a client that stops reading costs a worker at most that long instead
-//!   of for good, and never receives a frame after a half-written one.
+//!   of for good, and never receives a frame after a half-written one. A
+//!   client that stops reading while it sends hits holds only its own
+//!   reader, which writes them.
 //! * **Graceful shutdown**: [`TcpServer::shutdown`] stops accepting,
 //!   unwinds the readers, drains the queue, answers everything already
 //!   admitted, then joins the workers.
@@ -73,8 +89,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// The write side of one connection, shared by its reader thread (which
-/// writes rejection and shed envelopes) and the workers answering its
-/// requests.
+/// writes hits and rejection and shed envelopes) and the workers answering
+/// its other requests.
 struct ConnWriter {
     stream: Mutex<TcpStream>,
     /// Set once a write failed and the connection was shut down: its reader
@@ -98,6 +114,8 @@ impl ConnWriter {
 /// One admitted request: everything a worker needs to answer it.
 struct Job {
     request: SolveRequest,
+    /// The request's key, built by the reader for its cache lookup.
+    key: String,
     writer: Arc<ConnWriter>,
 }
 
@@ -211,7 +229,8 @@ pub struct NetStats {
     pub rejected_frames: usize,
     /// Requests currently waiting in the admission queue.
     pub queue_depth: usize,
-    /// High-water mark of the admission queue.
+    /// High-water mark of the admission queue. Hits are answered by the
+    /// connection's reader and never queued, so this counts misses only.
     pub max_queue_depth: usize,
 }
 
@@ -589,8 +608,15 @@ fn handle_frame(frame: &[u8], writer: &Arc<ConnWriter>, shared: &Shared) {
             return;
         }
     };
+    // A hit is answered here, without a worker; only misses are queued.
+    let key = request.key();
+    if let Some(hit) = shared.service.serve_by_key(&request, &key) {
+        shared.respond(writer, &hit.envelope_v2());
+        return;
+    }
     match shared.queue.try_push(Job {
         request,
+        key,
         writer: Arc::clone(writer),
     }) {
         Push::Admitted(depth) => {
@@ -630,13 +656,14 @@ fn worker_loop(shared: &Shared) {
         // A panicking solve must cost neither this worker nor the client's
         // reply: it gets the retryable error that the coalesced followers
         // of an unwound leader get.
-        let handled =
-            panic::catch_unwind(AssertUnwindSafe(|| shared.service.handle_v2(&job.request)))
-                .unwrap_or_else(|_| {
-                    Err(QuheError::Overloaded {
-                        reason: "the solve panicked before answering; retry".to_string(),
-                    })
-                });
+        let handled = panic::catch_unwind(AssertUnwindSafe(|| {
+            shared.service.handle_v2(&job.request, &job.key)
+        }))
+        .unwrap_or_else(|_| {
+            Err(QuheError::Overloaded {
+                reason: "the solve panicked before answering; retry".to_string(),
+            })
+        });
         let body =
             handled.unwrap_or_else(|e| wire::error_envelope(Protocol::V2, id.as_deref(), &e));
         shared.respond(&job.writer, &body);
@@ -655,8 +682,10 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
+        let request = SolveRequest::catalog("paper_default", 1);
         Job {
-            request: SolveRequest::catalog("paper_default", 1),
+            key: request.key(),
+            request,
             writer: Arc::new(ConnWriter::new(client)),
         }
     }

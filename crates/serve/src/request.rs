@@ -32,8 +32,10 @@ use quhe_core::solver::SolveSpec;
 /// configuration took at most 0.47 s at 20 clients, 1.55 s at 24 and 3.68 s
 /// at 32. The bound is the largest measured size that fits a 1 s budget;
 /// the catalogue worlds (up to 32 clients) are not limited by it. Those
-/// figures are for the default degree set: with `lambda_choices`
-/// {32768, 36864, 40960}, inline solves at 20 clients took up to 1.7 s.
+/// figures are for the default degree set. An inline degree must be a power
+/// of two of at least `2^15`, and every such set that was measured took
+/// about the default set's time or less; sets between powers of two, which
+/// are rejected, took up to 1.9 s.
 pub const MAX_INLINE_CLIENTS: usize = 20;
 
 /// Upper bound on the resolved client count of a request with
@@ -119,7 +121,8 @@ pub struct InlineScenario {
     /// Override of every client's maximum CPU frequency in Hz.
     pub max_client_frequency_hz: Option<f64>,
     /// Override of the CKKS degree choice set (default the paper's
-    /// `{2^15, 2^16, 2^17}`).
+    /// `{2^15, 2^16, 2^17}`). Each degree must be a power of two of at
+    /// least `2^15`, checked when the scenario is resolved.
     pub lambda_choices: Option<Vec<u64>>,
 }
 
@@ -361,10 +364,27 @@ impl SolveRequest {
         if let Some(id) = &self.id {
             value.set("id", JsonValue::String(id.clone()));
         }
+        self.with_body(value)
+    }
+
+    /// `value` followed by every field but `id`, in wire order.
+    fn with_body(&self, value: JsonValue) -> JsonValue {
         value
             .with("scenario", self.scenario.to_json_value())
             .with("solver", JsonValue::String(self.solver.clone()))
             .with("spec", self.spec.to_json_value())
+    }
+
+    /// The canonical request key: the compact JSON of `scenario`, `solver`
+    /// and `spec`, without `id` (the request's [`SolveRequest::to_json`]
+    /// with no id). Objects keep their insertion order and every finite
+    /// `f64` prints in its shortest round-trip form, so requests that differ
+    /// only in `id` share a key and any other difference separates them,
+    /// except between non-finite numbers: they all print as `null`, as in
+    /// the cache's spec key. The cache answers a request whose key it has
+    /// seen resolve to an entry without resolving the scenario again.
+    pub(crate) fn key(&self) -> String {
+        self.with_body(JsonValue::object()).to_compact_string()
     }
 
     /// Serializes to a compact JSON string.
@@ -440,6 +460,7 @@ impl SolveRequest {
 mod tests {
     use super::*;
     use quhe_core::solver::InstrumentationLevel;
+    use quhe_core::variables::DecisionVariables;
 
     #[test]
     fn requests_round_trip_through_json() {
@@ -561,6 +582,75 @@ mod tests {
         ] {
             let err = SolveRequest::from_json(text).unwrap_err().to_string();
             assert!(err.contains(needle), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn request_keys_ignore_the_id_and_separate_every_other_field() {
+        let base = SolveRequest::catalog("paper_default", 42);
+        // The key is the request's JSON without its id.
+        assert_eq!(base.key(), base.to_json());
+        assert_eq!(base.clone().with_id("a").key(), base.key());
+        assert_eq!(
+            base.clone().with_id("a").key(),
+            base.clone().with_id("b").key()
+        );
+        // A parsed request keys like the one it was written from.
+        let parsed = SolveRequest::from_json(&base.clone().with_id("c").to_json()).unwrap();
+        assert_eq!(parsed.key(), base.key());
+
+        let inline = |edit: fn(&mut InlineScenario)| {
+            let mut scenario = InlineScenario::new(8, 3);
+            edit(&mut scenario);
+            SolveRequest {
+                id: None,
+                scenario: ScenarioSpec::Inline(scenario),
+                ..SolveRequest::catalog("paper_default", 3)
+            }
+        };
+        let spec = |spec: SolveSpec| base.clone().with_spec(spec);
+        let start = DecisionVariables {
+            phi: vec![1.0],
+            w: vec![0.9],
+            lambda: vec![1 << 15],
+            power: vec![0.1],
+            bandwidth: vec![1e5],
+            client_frequency: vec![1e9],
+            server_frequency: vec![1e9],
+            delay_bound: 1.0,
+        };
+        let variants = [
+            base.clone(),
+            SolveRequest::catalog("dense_cell", 42),
+            SolveRequest::catalog("paper_default", 43),
+            SolveRequest::drifted("paper_default", 42, 1),
+            SolveRequest::drifted("paper_default", 42, 2),
+            SolveRequest::drifted("paper_default", 43, 1),
+            inline(|_| {}),
+            inline(|s| s.num_clients = 9),
+            inline(|s| s.seed = 4),
+            inline(|s| s.total_bandwidth_hz = Some(5e6)),
+            inline(|s| s.total_bandwidth_hz = Some(5.000000000000001e6)),
+            inline(|s| s.total_server_frequency_hz = Some(5e6)),
+            inline(|s| s.max_power_w = Some(0.4)),
+            inline(|s| s.max_client_frequency_hz = Some(0.4)),
+            inline(|s| s.lambda_choices = Some(vec![1 << 15, 1 << 16])),
+            inline(|s| s.lambda_choices = Some(vec![1 << 15, 1 << 17])),
+            base.clone().with_solver("aa"),
+            spec(SolveSpec::warm_from(start)),
+            spec(SolveSpec::cold().with_multi_start(false)),
+            spec(SolveSpec::cold().with_multi_start(true)),
+            spec(SolveSpec::cold().with_multi_start_budget(2)),
+            spec(SolveSpec::cold().with_start_pruning(false)),
+            spec(SolveSpec::cold().with_threads(2)),
+            spec(SolveSpec::cold().with_tolerance(1e-3)),
+            spec(SolveSpec::cold().with_instrumentation(InstrumentationLevel::Minimal)),
+        ];
+        let keys: Vec<String> = variants.iter().map(SolveRequest::key).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "requests {i} and {j} share a key");
+            }
         }
     }
 

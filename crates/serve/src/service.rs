@@ -4,17 +4,25 @@
 //! [`SolveService::handle`] processes one [`SolveRequest`] through a fixed
 //! preference order:
 //!
-//! 1. **Exact hit** — the resolved scenario's full fingerprint, the solver
+//! 1. **Request-key hit** — the request's canonical key (its scenario spec,
+//!    solver and spec, without the id) names a cached entry: an earlier
+//!    request with that key resolved to the entry's scenario and stored or
+//!    matched it. The entry answers as an exact hit with no scenario
+//!    resolution, no fingerprint and no equality check; both fingerprints
+//!    are read from the entry. The TCP front end's readers take this step
+//!    themselves, right after parsing a frame.
+//! 2. **Exact hit** — the resolved scenario's full fingerprint, the solver
 //!    name and the canonical spec key match a cached entry (with scenario
 //!    equality verified): the cached [`SolveReport`] is returned
-//!    bit-identically with zero solver work, and the shape fingerprint is
-//!    read from the entry. A `quhe-serve/v2` response splices in the report
-//!    bytes the cache rendered when it stored the report, so a hit renders
-//!    nothing and its report bytes equal the first response's by
-//!    construction. The report keeps
-//!    the `runtime_s` of the solve that produced it; the lookup's own wall
-//!    goes to [`SolveResponse::service_wall_s`].
-//! 2. **Warm near miss** — no exact hit, but a cached *anchor* (a cold
+//!    bit-identically with zero solver work, the shape fingerprint is read
+//!    from the entry, and the request's key is registered on the entry when
+//!    it has none. A `quhe-serve/v2` response splices in the report bytes
+//!    the cache rendered when it stored the report, so a hit (of either
+//!    kind) renders nothing and its report bytes equal the first
+//!    response's by construction. The report keeps the `runtime_s` of the
+//!    solve that produced it; the lookup's own wall goes to
+//!    [`SolveResponse::service_wall_s`].
+//! 3. **Warm near miss** — no exact hit, but a cached *anchor* (a cold
 //!    multi-start solve) shares the scenario's shape fingerprint: the
 //!    nearest such anchor by the pinned drift distance (see
 //!    [`crate::cache`]) donates its optimum, and the request is served by
@@ -27,11 +35,12 @@
 //!    candidates is returned as [`CacheOutcome::WarmFallback`] — a response
 //!    therefore never reports an objective below the single-start cold
 //!    floor.
-//! 3. **Cold** — no reusable state: the request is solved as specified and
+//! 4. **Cold** — no reusable state: the request is solved as specified and
 //!    cached for future requests.
 //!
 //! Warm, fallback and cold responses carry the bytes their own insert
-//! rendered, and coalesced followers the leader's.
+//! rendered, and coalesced followers the leader's. A stored entry carries
+//! the key of the request that stored it.
 //!
 //! The TCP front end's workers call `SolveService::handle_v2`, the v2 path
 //! of [`SolveService::handle_json`], concurrently on one shared service:
@@ -48,7 +57,8 @@ use quhe_core::online::{solve_warm_guarded, OnlineTraceConfig, SolveKind, System
 use quhe_core::params::QuheConfig;
 use quhe_core::registry::ScenarioCatalog;
 use quhe_core::scenario::SystemScenario;
-use quhe_core::solver::{InstrumentationLevel, SolveReport, SolveSpec, SolverRegistry, StartMode};
+use quhe_core::solver::{InstrumentationLevel, SolveReport, SolverRegistry, StartMode};
+use quhe_mec::compute::MIN_CYCLE_MODEL_DEGREE;
 use quhe_mec::scenario::MecScenario;
 use quhe_qkd::topology::synthetic_scenario;
 
@@ -207,12 +217,18 @@ impl ResponseHead {
 
 /// One served request: the response's head, and the report shared with the
 /// cache together with the bytes rendered when it was stored.
-struct Served {
+pub(crate) struct Served {
     head: ResponseHead,
     stored: Stored,
 }
 
 impl Served {
+    /// The `quhe-serve/v2` success envelope, with the report bytes the cache
+    /// rendered when it stored the report.
+    pub(crate) fn envelope_v2(&self) -> String {
+        wire::ok_envelope_v2(&self.head, &self.stored.report_json)
+    }
+
     fn into_response(self) -> SolveResponse {
         let ResponseHead {
             id,
@@ -650,44 +666,73 @@ impl SolveService {
     /// # Errors
     /// Resolution failures, unknown solver names and solver errors.
     pub fn handle(&self, request: &SolveRequest) -> QuheResult<SolveResponse> {
-        self.serve(request).map(Served::into_response)
+        self.serve(request, &request.key())
+            .map(Served::into_response)
     }
 
     /// Handles one request like [`SolveService::handle`] and writes its
     /// `quhe-serve/v2` success envelope with the report bytes the cache
     /// rendered when it stored the report: an exact hit renders nothing and
-    /// copies no report. The TCP front end's workers answer through it.
+    /// copies no report. `key` is the request's [`SolveRequest::key`]. The
+    /// TCP front end's workers answer through it.
     ///
     /// # Errors
     /// As [`SolveService::handle`]; the caller writes the error envelope.
-    pub(crate) fn handle_v2(&self, request: &SolveRequest) -> QuheResult<String> {
-        let served = self.serve(request)?;
-        Ok(wire::ok_envelope_v2(
-            &served.head,
-            &served.stored.report_json,
-        ))
+    pub(crate) fn handle_v2(&self, request: &SolveRequest, key: &str) -> QuheResult<String> {
+        self.serve(request, key).map(|served| served.envelope_v2())
     }
 
-    fn serve(&self, request: &SolveRequest) -> QuheResult<Served> {
+    /// Answers `request` from the cached entry its key names, if any: an
+    /// exact hit without resolving the scenario. The key was registered
+    /// only once a request with it had resolved to the entry's scenario, so
+    /// the entry is the one an exact lookup would find. The TCP front end's
+    /// readers call it before admitting a request; a miss costs one key
+    /// lookup.
+    pub(crate) fn serve_by_key(&self, request: &SolveRequest, key: &str) -> Option<Served> {
+        let wall = Instant::now();
+        let stored = self.cache.lookup_request(key)?;
+        Some(self.hit(request, stored, wall))
+    }
+
+    /// An exact hit on `stored`, with zero solver work. The solver name and
+    /// both fingerprints are read from the entry: an exact match makes them
+    /// the request's.
+    fn hit(&self, request: &SolveRequest, stored: Stored, wall: Instant) -> Served {
+        self.count(|c| c.exact_hits += 1);
+        Served {
+            head: ResponseHead {
+                id: request.id.clone(),
+                solver: stored.entry.solver.clone(),
+                cache: CacheOutcome::Hit,
+                fingerprint: stored.entry.fingerprint,
+                shape_fingerprint: stored.entry.shape,
+                service_wall_s: wall.elapsed().as_secs_f64(),
+                path_outer_iterations: 0,
+                guard_outer_iterations: 0,
+            },
+            stored,
+        }
+    }
+
+    /// Serves `request`, whose [`SolveRequest::key`] is `key`: by key when
+    /// the key is cached, else by resolving the scenario.
+    fn serve(&self, request: &SolveRequest, key: &str) -> QuheResult<Served> {
+        if let Some(served) = self.serve_by_key(request, key) {
+            return Ok(served);
+        }
         let wall = Instant::now();
         let scenario = self.resolve_scenario(&request.scenario)?;
-        self.serve_resolved(
-            request.id.clone(),
-            &scenario,
-            &request.solver,
-            &request.spec,
-            wall,
-        )
+        self.serve_resolved(request, key, &scenario, wall)
     }
 
     fn serve_resolved(
         &self,
-        id: Option<String>,
+        request: &SolveRequest,
+        key: &str,
         scenario: &SystemScenario,
-        solver_name: &str,
-        spec: &SolveSpec,
         wall: Instant,
     ) -> QuheResult<Served> {
+        let (solver_name, spec) = (request.solver.as_str(), &request.spec);
         // Resolve the solver name and bound the solve's work before anything
         // else, so a rejected request fails fast without touching the cache
         // or the flight table.
@@ -710,22 +755,9 @@ impl SolveService {
         // bytes already exist, concurrent duplicates each share them.
         if let Some(stored) =
             self.cache
-                .lookup_stored(fingerprint, scenario, solver_name, &spec_key)
+                .lookup_stored(fingerprint, scenario, solver_name, &spec_key, Some(key))
         {
-            self.count(|c| c.exact_hits += 1);
-            return Ok(Served {
-                head: ResponseHead {
-                    id,
-                    solver: solver_name.to_string(),
-                    cache: CacheOutcome::Hit,
-                    fingerprint,
-                    shape_fingerprint: stored.entry.shape,
-                    service_wall_s: wall.elapsed().as_secs_f64(),
-                    path_outer_iterations: 0,
-                    guard_outer_iterations: 0,
-                },
-                stored,
-            });
+            return Ok(self.hit(request, stored, wall));
         }
 
         // Singleflight: identical concurrent requests elect one leader; the
@@ -736,7 +768,7 @@ impl SolveService {
             spec_key: spec_key.clone(),
         }) {
             Join::Lead(token) => {
-                let result = self.serve_slow(id, scenario, solver_name, spec, spec_key, wall);
+                let result = self.serve_slow(request, key, scenario, spec_key, wall);
                 token.publish(match &result {
                     Ok(served) => Ok(FlightResult {
                         leader_outcome: served.head.cache,
@@ -751,7 +783,7 @@ impl SolveService {
                 self.count(|c| c.coalesced += 1);
                 Ok(Served {
                     head: ResponseHead {
-                        id,
+                        id: request.id.clone(),
                         solver: solver_name.to_string(),
                         cache: CacheOutcome::Coalesced,
                         fingerprint,
@@ -777,13 +809,13 @@ impl SolveService {
     /// flight-table join.
     fn serve_slow(
         &self,
-        id: Option<String>,
+        request: &SolveRequest,
+        key: &str,
         scenario: &SystemScenario,
-        solver_name: &str,
-        spec: &SolveSpec,
         spec_key: String,
         wall: Instant,
     ) -> QuheResult<Served> {
+        let (solver_name, spec) = (request.solver.as_str(), &request.spec);
         let solver = self.registry.resolve(solver_name)?;
         let fingerprint = scenario.fingerprint();
         let shape_fingerprint = scenario.shape_fingerprint();
@@ -791,7 +823,7 @@ impl SolveService {
         let respond =
             |cache: CacheOutcome, stored: Stored, path_iters: usize, guard_iters: usize| Served {
                 head: ResponseHead {
-                    id: id.clone(),
+                    id: request.id.clone(),
                     solver: solver_name.to_string(),
                     cache,
                     fingerprint,
@@ -806,10 +838,9 @@ impl SolveService {
         // 1. Exact hit (latecomer re-check, see above).
         if let Some(stored) =
             self.cache
-                .lookup_stored(fingerprint, scenario, solver_name, &spec_key)
+                .lookup_stored(fingerprint, scenario, solver_name, &spec_key, Some(key))
         {
-            self.count(|c| c.exact_hits += 1);
-            return Ok(respond(CacheOutcome::Hit, stored, 0, 0));
+            return Ok(self.hit(request, stored, wall));
         }
 
         // 2. Warm near miss: only for plain cold requests to a warm-capable
@@ -834,15 +865,18 @@ impl SolveService {
                 // the from-scratch cold multi-start fallback — a fresher
                 // converged anchor than the one that just lost; warm and
                 // floor winners never re-anchor.
-                let stored = self.cache.store(CacheEntry {
-                    scenario: scenario.clone(),
-                    fingerprint,
-                    shape: shape_fingerprint,
-                    solver: solver_name.to_string(),
-                    spec_key,
-                    report: warm.report,
-                    anchor: warm.cold_won && spec.multi_start(),
-                });
+                let stored = self.cache.store(
+                    CacheEntry {
+                        scenario: scenario.clone(),
+                        fingerprint,
+                        shape: shape_fingerprint,
+                        solver: solver_name.to_string(),
+                        spec_key,
+                        report: warm.report,
+                        anchor: warm.cold_won && spec.multi_start(),
+                    },
+                    Some(key),
+                );
                 return Ok(respond(
                     outcome,
                     stored,
@@ -856,16 +890,19 @@ impl SolveService {
         let report = solver.solve(scenario, spec)?;
         self.count(|c| c.cold_solves += 1);
         let path_iters = report.outer_iterations;
-        let stored = self.cache.store(CacheEntry {
-            scenario: scenario.clone(),
-            fingerprint,
-            shape: shape_fingerprint,
-            solver: solver_name.to_string(),
-            spec_key,
-            report,
-            // Only full cold multi-start solves anchor warm chains.
-            anchor: matches!(spec.start(), StartMode::Cold) && spec.multi_start(),
-        });
+        let stored = self.cache.store(
+            CacheEntry {
+                scenario: scenario.clone(),
+                fingerprint,
+                shape: shape_fingerprint,
+                solver: solver_name.to_string(),
+                spec_key,
+                report,
+                // Only full cold multi-start solves anchor warm chains.
+                anchor: matches!(spec.start(), StartMode::Cold) && spec.multi_start(),
+            },
+            Some(key),
+        );
         Ok(respond(CacheOutcome::Cold, stored, path_iters, 0))
     }
 
@@ -890,7 +927,7 @@ impl SolveService {
             Protocol::V1 => self
                 .handle(&request)
                 .map(|response| wire::ok_envelope(proto, &response)),
-            Protocol::V2 => self.handle_v2(&request),
+            Protocol::V2 => self.handle_v2(&request, &request.key()),
         };
         body.unwrap_or_else(|e| wire::error_envelope(proto, request.id.as_deref(), &e))
     }
@@ -932,6 +969,21 @@ fn resolve_inline(inline: &InlineScenario) -> QuheResult<SystemScenario> {
     if let Some(frequency) = inline.max_client_frequency_hz {
         mec = mec.with_max_client_frequency(frequency);
     }
+    // A degree is a CKKS ring degree, a power of two, and the fitted cycle
+    // model is valid only from its smallest one. Other values pass the
+    // scenario's own checks but are costed off the fitted range (below the
+    // bound, where far enough down the solve fails) or buy several times
+    // the default set's solver work (between powers of two).
+    for (index, &degree) in inline.lambda_choices.iter().flatten().enumerate() {
+        if !degree.is_power_of_two() || degree < MIN_CYCLE_MODEL_DEGREE {
+            return Err(QuheError::InvalidConfig {
+                reason: format!(
+                    "inline lambda_choices entry {index} ({degree}) must be a power of two \
+                     of at least {MIN_CYCLE_MODEL_DEGREE}"
+                ),
+            });
+        }
+    }
     let lambda_choices = inline
         .lambda_choices
         .clone()
@@ -946,6 +998,7 @@ fn resolve_inline(inline: &InlineScenario) -> QuheResult<SystemScenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quhe_core::solver::SolveSpec;
 
     fn quick_config() -> QuheConfig {
         QuheConfig {
@@ -1143,6 +1196,34 @@ mod tests {
                     .unwrap()
                     .contains("must be positive and finite"),
                 "{bad}"
+            );
+        }
+
+        // Inline degrees must be CKKS ring degrees the cost model covers: a
+        // degree between powers of two buys several times the default
+        // set's work, and one below 2^15 lies outside the range the cycle
+        // model was fitted on. Both were accepted and solved before.
+        for (degrees, entry) in [
+            ("32768, 36864", "entry 1 (36864)"),
+            ("16384", "entry 0 (16384)"),
+        ] {
+            let bad = format!(
+                "{{\"proto\": \"quhe-serve/v2\", \"id\": \"d\", \"scenario\": {{\"inline\": \
+                 {{\"num_clients\": 2, \"seed\": 1, \"lambda_choices\": [{degrees}]}}}}}}"
+            );
+            let value = JsonValue::parse(&service.handle_json(&bad)).unwrap();
+            let error = value.get("error").unwrap();
+            assert_eq!(
+                error.get("kind").and_then(JsonValue::as_str),
+                Some("invalid_request"),
+                "{bad}"
+            );
+            let message = error.get("message").and_then(JsonValue::as_str).unwrap();
+            assert!(
+                message.contains(&format!(
+                    "lambda_choices {entry} must be a power of two of at least 32768"
+                )),
+                "{message}"
             );
         }
     }

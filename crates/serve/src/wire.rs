@@ -703,7 +703,8 @@ mod tests {
         }
         // The service's own writer splices the stored bytes into the same
         // layout.
-        let text = service.handle_v2(&request.clone().with_id("h")).unwrap();
+        let hit = request.clone().with_id("h");
+        let text = service.handle_v2(&hit, &hit.key()).unwrap();
         let WireReply::Ok(hit) = WireReply::from_json(&text).unwrap() else {
             panic!("a hit is a success");
         };

@@ -1,16 +1,21 @@
 //! Loopback invariants of the framed TCP front end: coalescing across real
 //! connections, malformed-frame resilience, shed-load envelopes, workers that
-//! survive a panicking solve or a client that stops reading, repeated
-//! requests that carry the first response's report bytes, and front-end
-//! counters that account for every reply a client has read.
+//! survive a panicking solve or a client that stops reading, hits answered
+//! by the connection's reader while every worker is busy, repeated requests
+//! that carry the first response's report bytes (also while key lookups
+//! race stores and evictions), and front-end counters that account for
+//! every reply a client has read.
 //!
 //! These tests exercise the full path the repository benchmark in
-//! `perfbench/` measures: client socket → frame codec → admission queue →
-//! worker pool → `SolveService` (cache + singleflight) → response frame.
+//! `perfbench/` measures: client socket → frame codec → request-key lookup
+//! on the reader → admission queue → worker pool → `SolveService` (cache +
+//! singleflight) → response frame.
 
-use std::io::{ErrorKind, Read, Write};
+use std::collections::HashMap;
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use quhe::prelude::*;
@@ -413,11 +418,78 @@ fn a_repeated_request_carries_the_first_responses_report_bytes() {
     server.shutdown();
 }
 
+/// Writes `request` to `stalled` again and again, each copy with the id
+/// `make_id(i)` for a running count `i`, 256 frames per write, until the
+/// client's writes stall because the server stopped reading: the moment of
+/// the stall.
+fn pipeline_until_stalled(
+    stalled: &mut TcpStream,
+    request: impl Fn(usize) -> SolveRequest,
+) -> Instant {
+    stalled
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let fill_deadline = Instant::now() + Duration::from_secs(60);
+    let mut sent = 0usize;
+    loop {
+        let mut batch = Vec::new();
+        for i in sent..sent + 256 {
+            wire::write_frame(&mut batch, request(i).to_json().as_bytes()).unwrap();
+        }
+        sent += 256;
+        match stalled.write_all(&batch) {
+            Ok(()) => assert!(
+                Instant::now() < fill_deadline,
+                "the stalled client's writes never stalled"
+            ),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Instant::now()
+            }
+            Err(e) => panic!("writing to the server: {e}"),
+        }
+    }
+}
+
+/// Reads `stalled` to its end once the server has shut it down, returning
+/// the success replies it delivered. The server closes a socket that still
+/// holds unread requests, which the kernel signals with a reset rather than
+/// a FIN, and it may have shut the socket down in the middle of a frame, so
+/// a reset and a truncated last frame count as the end too; a read that
+/// times out means the connection was left open.
+fn drain_to_end(stalled: TcpStream) -> Vec<SolveResponse> {
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stalled);
+    let mut served = Vec::new();
+    loop {
+        match read_frame(&mut reader) {
+            Ok(Some(frame)) => {
+                if let Ok(WireReply::Ok(response)) =
+                    WireReply::from_json(std::str::from_utf8(&frame).unwrap())
+                {
+                    served.push(response);
+                }
+            }
+            Ok(None) => return served,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::ConnectionReset | ErrorKind::InvalidData
+                ) =>
+            {
+                return served
+            }
+            Err(e) => panic!("the stalled connection must reach its end: {e}"),
+        }
+    }
+}
+
 #[test]
-fn a_client_that_stops_reading_cannot_hold_the_only_worker() {
-    // Runs about WRITE_TIMEOUT (2 s) plus the time to fill the loopback
-    // socket buffers and one cold dense_cell solve.
-    let margin = Duration::from_secs(3);
+fn a_client_that_stops_reading_holds_only_its_own_reader() {
+    // Runs about WRITE_TIMEOUT (2 s) plus the margin, the time to fill the
+    // loopback socket buffers and one cold dense_cell solve.
+    let margin = Duration::from_secs(1);
     let service = Arc::new(
         ServiceConfig::new(quick_config())
             .with_worker_threads(1)
@@ -433,37 +505,133 @@ fn a_client_that_stops_reading_cannot_hold_the_only_worker() {
     };
 
     // The stalled client pipelines hits and never reads, until its own
-    // writes stall: the server's worker is then blocked writing replies
-    // nobody reads, and its reader waits on that connection's writer. (It
-    // is declared after the server, so that if an assertion fails it closes
-    // first and lets the server shut down.)
+    // writes stall: its reader, which answers hits itself, is then blocked
+    // writing replies nobody reads. (It is declared after the server, so
+    // that if an assertion fails it closes first and lets the server shut
+    // down.)
     let mut stalled = connect(&server);
-    stalled
-        .set_write_timeout(Some(Duration::from_millis(500)))
-        .unwrap();
-    let mut frame = Vec::new();
-    wire::write_frame(&mut frame, request.to_json().as_bytes()).unwrap();
-    let batch = frame.repeat(256);
-    let fill_deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        match stalled.write_all(&batch) {
-            Ok(()) => assert!(
-                Instant::now() < fill_deadline,
-                "the stalled client's writes never stalled"
-            ),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
-            Err(e) => panic!("writing to the server: {e}"),
-        }
-    }
-    let stalled_at = Instant::now();
+    let stalled_at =
+        pipeline_until_stalled(&mut stalled, |i| request.clone().with_id(&format!("s{i}")));
 
-    // Another client is answered within the write timeout plus the margin,
-    // retrying while the stalled connection's requests fill the queue.
+    // Another connection's hit is answered by its own reader at once: it
+    // needs neither the stalled reader nor the worker.
+    let within = Duration::from_secs(1);
+    let mut other = connect(&server);
+    other.set_read_timeout(Some(within)).unwrap();
+    let WireReply::Ok(answered) =
+        roundtrip(&mut other, &request.clone().with_id("other").to_json())
+    else {
+        panic!("the other connection's hit must be served");
+    };
+    let waited = stalled_at.elapsed();
+    assert!(
+        waited < within,
+        "answered {waited:?} after the stall, over {within:?}"
+    );
+    assert_eq!(answered.cache, CacheOutcome::Hit);
+    assert_eq!(answered.id.as_deref(), Some("other"));
+
+    // The stalled reader's write fails within WRITE_TIMEOUT and shuts the
+    // connection down. Reading it before then would let the write resume,
+    // and the reader would answer the whole backlog; after it, reading
+    // drains the replies already delivered and reaches the end.
+    std::thread::sleep((WRITE_TIMEOUT + margin).saturating_sub(stalled_at.elapsed()));
+    let delivered = drain_to_end(stalled);
+    assert!(
+        delivered.iter().all(|r| r.cache == CacheOutcome::Hit),
+        "the stalled connection sent only hits"
+    );
+    assert_eq!(service.stats().cold_solves, 1);
+    server.shutdown();
+}
+
+/// A registered solver that answers at once with a report of about 13 KB,
+/// so that a few replies fill a client's socket buffers while the first
+/// ones arrive whole.
+struct BulkySolver {
+    config: QuheConfig,
+    report: SolveReport,
+}
+
+impl BulkySolver {
+    fn new(config: QuheConfig) -> Self {
+        let scenario = SystemScenario::paper_default(1);
+        let mut report = SolverRegistry::builtin_with(config)
+            .resolve("aa")
+            .unwrap()
+            .solve(&scenario, &SolveSpec::cold())
+            .unwrap();
+        report.variables.phi = vec![0.123_456_789; 1_000];
+        Self { config, report }
+    }
+}
+
+impl Solver for BulkySolver {
+    fn name(&self) -> &str {
+        "bulky"
+    }
+
+    fn description(&self) -> &str {
+        "answers at once with a report of about 13 KB"
+    }
+
+    fn config(&self) -> &QuheConfig {
+        &self.config
+    }
+
+    fn with_config(&self, config: QuheConfig) -> Box<dyn Solver> {
+        Box::new(Self {
+            config,
+            report: self.report.clone(),
+        })
+    }
+
+    fn solve(&self, _: &SystemScenario, _: &SolveSpec) -> QuheResult<SolveReport> {
+        Ok(self.report.clone())
+    }
+}
+
+#[test]
+fn a_client_that_stops_reading_cannot_hold_the_only_worker() {
+    // Runs about WRITE_TIMEOUT (2 s) plus the time to fill the loopback
+    // socket buffers and one cold solve.
+    let margin = Duration::from_secs(3);
+    let mut registry = SolverRegistry::builtin_with(quick_config());
+    registry
+        .register(Box::new(BulkySolver::new(quick_config())))
+        .unwrap();
+    let service = Arc::new(
+        ServiceConfig::new(quick_config())
+            .with_worker_threads(1)
+            .with_queue_bound(4)
+            .with_cache_capacity(4)
+            .build_with(registry, ScenarioCatalog::builtin()),
+    );
+    let server = TcpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+
+    // The stalled client pipelines misses at distinct seeds and never
+    // reads, until its own writes stall: the only worker is then blocked
+    // writing bulky replies nobody reads, and the connection's reader waits
+    // on the writer the worker holds. (It is declared after the server, so
+    // that if an assertion fails it closes first and lets the server shut
+    // down.)
+    let mut stalled = connect(&server);
+    let stalled_at = pipeline_until_stalled(&mut stalled, |i| {
+        SolveRequest::catalog("paper_default", i as u64)
+            .with_solver("bulky")
+            .with_id(&format!("s{i}"))
+    });
+
+    // Another connection's miss is solved within the write timeout plus the
+    // margin, retrying while the stalled connection's requests fill the
+    // queue.
     let deadline = WRITE_TIMEOUT + margin;
     let mut other = connect(&server);
     other.set_read_timeout(Some(deadline)).unwrap();
+    let body = SolveRequest::catalog("far_edge", 1)
+        .with_id("other")
+        .to_json();
     let answered = loop {
-        let body = request.clone().with_id("other").to_json();
         match roundtrip(&mut other, &body) {
             WireReply::Ok(response) => break response,
             WireReply::Err { kind, message, .. } => {
@@ -482,26 +650,254 @@ fn a_client_that_stops_reading_cannot_hold_the_only_worker() {
         waited < deadline,
         "answered {waited:?} after the stall, over {deadline:?}"
     );
-    assert_eq!(answered.cache, CacheOutcome::Hit);
+    assert_eq!(answered.cache, CacheOutcome::Cold);
     assert_eq!(answered.id.as_deref(), Some("other"));
 
-    // The server shut the stalled connection down: reading it drains the
-    // replies already delivered and then reaches the end of the stream. The
-    // server closes a socket that still holds unread requests, which the
-    // kernel signals with a reset rather than a FIN, so a reset counts as
-    // the end too; a read that times out means the connection was left
-    // open.
-    stalled
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut sink = vec![0u8; 1 << 16];
-    loop {
-        match stalled.read(&mut sink) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
-            Err(e) => panic!("the stalled connection must reach its end: {e}"),
-        }
+    // The server shut the stalled connection down. The replies it did
+    // deliver are the worker's: bulky solves, not hits.
+    let delivered = drain_to_end(stalled);
+    assert!(!delivered.is_empty(), "the worker delivered no reply");
+    assert!(
+        delivered
+            .iter()
+            .all(|r| r.cache == CacheOutcome::Cold && r.solver == "bulky"),
+        "the stalled replies came from the worker"
+    );
+    server.shutdown();
+}
+
+/// A `quhe` solver registered as `gated` whose solves announce themselves
+/// and then wait for a release.
+struct GatedSolver {
+    inner: QuheSolver,
+    entered: mpsc::Sender<()>,
+    release: Arc<Mutex<mpsc::Receiver<()>>>,
+}
+
+impl Solver for GatedSolver {
+    fn name(&self) -> &str {
+        "gated"
     }
+
+    fn description(&self) -> &str {
+        "quhe, held at a gate until released"
+    }
+
+    fn config(&self) -> &QuheConfig {
+        self.inner.config()
+    }
+
+    fn with_config(&self, config: QuheConfig) -> Box<dyn Solver> {
+        Box::new(Self {
+            inner: QuheSolver::new(config),
+            entered: self.entered.clone(),
+            release: Arc::clone(&self.release),
+        })
+    }
+
+    fn solve(&self, scenario: &SystemScenario, spec: &SolveSpec) -> QuheResult<SolveReport> {
+        self.entered.send(()).unwrap();
+        self.release.lock().unwrap().recv().unwrap();
+        self.inner.solve(scenario, spec)
+    }
+}
+
+#[test]
+fn a_hit_is_answered_while_the_only_worker_is_busy() {
+    let (entered, entered_rx) = mpsc::channel();
+    let (release_tx, release) = mpsc::channel();
+    let mut registry = SolverRegistry::builtin_with(quick_config());
+    registry
+        .register(Box::new(GatedSolver {
+            inner: QuheSolver::new(quick_config()),
+            entered,
+            release: Arc::new(Mutex::new(release)),
+        }))
+        .unwrap();
+    let service = Arc::new(
+        ServiceConfig::new(quick_config())
+            .with_worker_threads(1)
+            .build_with(registry, ScenarioCatalog::builtin()),
+    );
+    let server = TcpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    // Declared after the server, so that a failed assertion drops the gate
+    // first: the held solve then fails, and the server can shut down.
+    let release_tx = release_tx;
+
+    let cached = SolveRequest::catalog("paper_default", 5);
+    let mut b = connect(&server);
+    let WireReply::Ok(first) = roundtrip(&mut b, &cached.clone().with_id("first").to_json()) else {
+        panic!("the first request must be solved");
+    };
+
+    // Connection A's miss holds the only worker at the gate.
+    let mut a = connect(&server);
+    let held = SolveRequest::catalog("paper_default", 6)
+        .with_solver("gated")
+        .with_id("held");
+    wire::write_frame(&mut a, held.to_json().as_bytes()).unwrap();
+    entered_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the held solve reaches the gate");
+
+    // Connection B's hit is answered while A's solve is still held.
+    let within = Duration::from_secs(1);
+    b.set_read_timeout(Some(within)).unwrap();
+    let asked = Instant::now();
+    let WireReply::Ok(hit) = roundtrip(&mut b, &cached.clone().with_id("hit").to_json()) else {
+        panic!("the hit must be served");
+    };
+    assert!(asked.elapsed() < within, "{:?}", asked.elapsed());
+    assert_eq!(hit.cache, CacheOutcome::Hit);
+    assert_eq!(hit.id.as_deref(), Some("hit"));
+    assert_eq!(hit.report, first.report);
+    assert_eq!(server.stats().queue_depth, 0);
+
+    // Released, A's solve is answered.
+    release_tx.send(()).unwrap();
+    let frame = read_frame(&mut a)
+        .unwrap()
+        .expect("the held request's reply");
+    let WireReply::Ok(answered) =
+        WireReply::from_json(std::str::from_utf8(&frame).unwrap()).unwrap()
+    else {
+        panic!("the held solve must succeed");
+    };
+    assert_eq!(answered.id.as_deref(), Some("held"));
+    assert_eq!(answered.cache, CacheOutcome::Cold);
+    let net = server.stats();
+    assert_eq!(net.frames, 3, "net: {net:?}");
+    assert_eq!(net.frames, net.responses, "net: {net:?}");
+    server.shutdown();
+}
+
+/// A registered `aa` solver whose reports carry no wall time, so that every
+/// solve of a scenario renders the same bytes.
+struct TimelessSolver(Box<dyn Solver>);
+
+impl Solver for TimelessSolver {
+    fn name(&self) -> &str {
+        "timeless"
+    }
+
+    fn description(&self) -> &str {
+        "aa with runtime_s zeroed"
+    }
+
+    fn config(&self) -> &QuheConfig {
+        self.0.config()
+    }
+
+    fn with_config(&self, config: QuheConfig) -> Box<dyn Solver> {
+        Box::new(Self(self.0.with_config(config)))
+    }
+
+    fn solve(&self, scenario: &SystemScenario, spec: &SolveSpec) -> QuheResult<SolveReport> {
+        let mut report = self.0.solve(scenario, spec)?;
+        report.runtime_s = 0.0;
+        if let Some(stage) = &mut report.stage1 {
+            stage.runtime_s = 0.0;
+        }
+        if let Some(stage) = &mut report.stage2 {
+            stage.runtime_s = 0.0;
+        }
+        if let Some(stage) = &mut report.stage3 {
+            stage.runtime_s = 0.0;
+        }
+        Ok(report)
+    }
+}
+
+#[test]
+fn key_lookups_racing_stores_and_evictions_serve_each_keys_own_entry() {
+    let mut registry = SolverRegistry::builtin_with(quick_config());
+    let aa = registry.resolve("aa").unwrap().with_config(quick_config());
+    registry.register(Box::new(TimelessSolver(aa))).unwrap();
+    // Six keys through a three-entry cache: hits, misses and evictions
+    // interleave on three connections and two workers.
+    let service = Arc::new(
+        ServiceConfig::new(quick_config())
+            .with_worker_threads(2)
+            .with_cache_capacity(3)
+            .build_with(registry, ScenarioCatalog::builtin()),
+    );
+    let server = TcpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let keys: Vec<SolveRequest> = (0..6u64)
+        .map(|seed| {
+            let request = SolveRequest::catalog("paper_default", seed % 3);
+            let request = if seed < 3 {
+                request
+            } else {
+                SolveRequest::drifted("paper_default", seed % 3, 1)
+            };
+            request.with_solver("timeless")
+        })
+        .collect();
+    let expected: Vec<Fingerprint> = keys
+        .iter()
+        .map(|k| service.resolve_scenario(&k.scenario).unwrap().fingerprint())
+        .collect();
+
+    let (connections, rounds, depth) = (3usize, 40usize, 3usize);
+    let replies: Vec<(usize, Vec<u8>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..connections)
+            .map(|c| {
+                let (server, keys) = (&server, &keys);
+                scope.spawn(move || {
+                    let mut stream = connect(server);
+                    let mut replies = Vec::new();
+                    for round in 0..rounds {
+                        // A few pipelined requests per round, so a hit can
+                        // overtake a miss on the same connection.
+                        for slot in 0..depth {
+                            let k = (round * (c + 2) + slot * (c + 1) + c) % keys.len();
+                            let body = keys[k].clone().with_id(&k.to_string()).to_json();
+                            wire::write_frame(&mut stream, body.as_bytes()).unwrap();
+                        }
+                        for _ in 0..depth {
+                            let frame = read_frame(&mut stream).unwrap().expect("a reply");
+                            let reply =
+                                WireReply::from_json(std::str::from_utf8(&frame).unwrap()).unwrap();
+                            let WireReply::Ok(response) = reply else {
+                                panic!("{reply:?}");
+                            };
+                            let k: usize = response.id.as_deref().unwrap().parse().unwrap();
+                            replies.push((k, frame));
+                        }
+                    }
+                    replies
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+
+    // The solver renders the same bytes on every solve of a scenario, so
+    // every reply for a key, a hit or a re-solve after an eviction, carries
+    // that key's own fingerprint and the first reply's report bytes.
+    let mut firsts: HashMap<usize, &[u8]> = HashMap::new();
+    let mut hits = 0usize;
+    for (k, frame) in &replies {
+        let WireReply::Ok(response) =
+            WireReply::from_json(std::str::from_utf8(frame).unwrap()).unwrap()
+        else {
+            unreachable!("only successes were kept");
+        };
+        assert_eq!(response.fingerprint, expected[*k], "key {k}");
+        hits += usize::from(response.cache == CacheOutcome::Hit);
+        let first = *firsts.entry(*k).or_insert_with(|| report_bytes(frame));
+        assert!(
+            report_bytes(frame) == first,
+            "key {k}: a reply's report bytes differ from the first reply's"
+        );
+    }
+    assert_eq!(replies.len(), connections * rounds * depth);
+    let cache = service.stats().cache;
+    assert!(hits > 0 && cache.evictions > 0, "{cache:?}");
+    assert_eq!(cache.exact_hits + cache.exact_misses, cache.exact_lookups());
+    assert_eq!(cache.insertions - cache.evictions, cache.entries as u64);
     server.shutdown();
 }
