@@ -22,9 +22,10 @@ matches quhe-core's solve_warm_guarded. It does not enter the reference.
   for a fixed seed and window),
 * for any world, the median of stage1.solve_s.<world> over the five traced
   runs exceeds STAGE1_GATE times the reference median. Each traced run times
-  one probe solve of Stage 1 (the finite-difference interior-point solve of
-  P3) per world, the largest part of a dense cold solve and the one P3 solve
-  of every warm-served request, or
+  one probe solve of Stage 1 (the interior-point solve of P3 with its exact
+  barrier derivatives, under a millisecond per world, so a single slow probe
+  on a shared host can double it) per world, the one P3 solve of every cold
+  and every warm-served request, or
 * for any world, the median of stage3.solve_s.<world> over the five traced
   runs exceeds STAGE3_GATE times the reference median. Each traced run times
   one Stage-3 probe solve per world, so the median needs enough runs to ride

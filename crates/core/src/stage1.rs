@@ -6,17 +6,23 @@
 //! its capacity allows (Eq. 18), and the remaining problem in `phi` is made
 //! convex by the substitution `varphi_n = ln(phi_n)` (problem P3, Eq. 20).
 //! This module solves P3 with the log-barrier interior-point method of
-//! `quhe-opt` — the role CVX plays in the paper — and exposes the P3
-//! objective so the Stage-1 baselines (gradient descent, simulated annealing,
-//! random selection) can optimize exactly the same function.
+//! `quhe-opt` — the role CVX plays in the paper — from the closed-form
+//! gradient, constraint Jacobian and Lagrangian Hessian of P3 (see
+//! `P3Problem`), and exposes the P3 objective so the Stage-1 baselines
+//! (gradient descent, simulated annealing, random selection) can optimize
+//! exactly the same function.
 
 use std::cell::{RefCell, RefMut};
 use std::time::Instant;
 
 use quhe_opt::barrier::{BarrierSolver, InequalityProblem};
+use quhe_opt::linalg::DenseMatrix;
 use quhe_qkd::allocation::optimal_werner;
 use quhe_qkd::routes::IncidenceMatrix;
-use quhe_qkd::secret_key::{secret_key_fraction_raw, SKF_THRESHOLD};
+use quhe_qkd::secret_key::{
+    secret_key_fraction_derivative, secret_key_fraction_raw, secret_key_fraction_second_derivative,
+    SKF_THRESHOLD,
+};
 
 use crate::error::{QuheError, QuheResult};
 use crate::problem::Problem;
@@ -24,52 +30,59 @@ use crate::problem::Problem;
 /// Small margin keeping iterates strictly inside open constraints.
 const STRICT_MARGIN: f64 = 1e-6;
 
-/// The P3 quantities of the last point evaluated, kept up to date one
-/// coordinate at a time.
+/// The P3 quantities of the last point evaluated.
 ///
-/// The barrier solver evaluates the feasibility predicate, the objective and
-/// the constraint vector of the *same* trial point back to back, and its
-/// finite-difference derivatives evaluate points that each differ from the
-/// one before in one to three coordinates. [`P3Problem::refresh`] therefore
-/// recomputes only what a changed coordinate feeds: the coordinate's `exp`,
-/// the load and Werner factor of each link on its route, and `varpi` and the
-/// objective term of each route that crosses such a link (and of the route
-/// itself). Every cached value is the same expression of the same input
-/// bits as a full recompute, in the same accumulation order, so the values
-/// are bit-identical to evaluating the point from scratch.
+/// The barrier solver evaluates the feasibility predicate, the objective,
+/// the constraint vector and the derivatives of the same point back to
+/// back, so [`P3Problem::evaluate`] recomputes the point only when its bits
+/// change.
 #[derive(Debug)]
-struct P3Cache {
-    /// Bits of the point the cached values belong to.
+struct P3Point {
+    /// Bits of the point the values belong to; empty before the first
+    /// evaluation.
     varphi: Vec<u64>,
-    /// `phi_n = exp(varphi_n)`.
+    /// `p_n = phi_n = exp(varphi_n)`.
     phi: Vec<f64>,
-    /// Per-link load `sum_{n on l} phi_n`, routes in ascending order.
+    /// Per-link load `L_l = sum_{n on l} p_n`, routes in ascending order.
     load: Vec<f64>,
-    /// Per-link Werner factor `1 - load_l / beta_l`.
+    /// Per-link Werner factor `a_l = 1 - L_l / beta_l`.
     factor: Vec<f64>,
-    /// Per-route `varpi_n = prod_{l on n} factor_l`, links in ascending
-    /// order.
+    /// Per-route `varpi_n = prod_{l on n} a_l`, links in ascending order.
     varpi: Vec<f64>,
-    /// Per-route `ln F_skf(varpi_n) + ln phi_n`, the term the objective
+    /// Per-route `ln F_skf(varpi_n) + ln p_n`, the term the objective
     /// subtracts.
     term: Vec<f64>,
-    /// Links whose load and factor are stale.
-    link_dirty: Vec<bool>,
-    /// Routes whose `varpi` and term are stale.
-    route_dirty: Vec<bool>,
-    /// No point evaluated yet: every coordinate counts as changed. A new
-    /// cache also has every link and route marked, so the first evaluation
-    /// computes every value, those of links no route crosses included.
-    empty: bool,
+    /// Per-route `psi'(varpi_n)` of `psi = ln F_skf`.
+    slope: Vec<f64>,
+    /// Per-route `psi''(varpi_n)`.
+    curvature: Vec<f64>,
+    /// Per-link `1 / (beta_l a_l)`.
+    inv_slack: Vec<f64>,
+    /// Per-route scratch for the Hessian's `v_n`.
+    spread: Vec<f64>,
 }
 
-/// Problem P3 (Eq. 20) in `varphi = ln(phi)` as an [`InequalityProblem`].
+/// Problem P3 (Eq. 20) in `varphi = ln(phi)` as an [`InequalityProblem`]
+/// with exact derivatives.
 ///
-/// The route/link incidence lists are built once (ascending, matching the
-/// incidence-matrix iteration order bit-for-bit), every cache buffer is
-/// sized here, and the objective and constraints read the per-point values
-/// of [`P3Cache`], so an evaluation allocates nothing and recomputes only
-/// what changed since the previous point.
+/// Write `p_n = exp(varphi_n)`, `a_l = 1 - L_l / beta_l`,
+/// `varpi_n = prod_{l on n} a_l`, `psi = ln F_skf`, and let `u_l` hold
+/// `p_m / (beta_l a_l)` at each route `m` on link `l` and zero elsewhere.
+/// The objective is `f = -sum_n psi(varpi_n) - sum_n varphi_n`, and with
+/// `v_n = sum_{l on n} u_l`
+///
+/// ```text
+/// grad ln varpi_n = -v_n
+/// hess ln varpi_n = -sum_{l on n} (diag(u_l) + u_l u_l^T)
+/// grad varpi_n    = varpi_n grad ln varpi_n
+/// hess varpi_n    = varpi_n (hess ln varpi_n + v_n v_n^T)
+/// ```
+///
+/// from which the hooks build the gradient of `f`, the Jacobian of the
+/// constraints (20a)–(20c) and the Hessian of their Lagrangian over the
+/// route/link incidence lists. The lists are built once (ascending,
+/// matching the incidence-matrix iteration order bit-for-bit) and every
+/// buffer is sized here, so no evaluation allocates.
 #[derive(Debug)]
 struct P3Problem {
     n_routes: usize,
@@ -80,7 +93,7 @@ struct P3Problem {
     /// Routes crossing each link, ascending.
     link_routes: Vec<Vec<usize>>,
     start: Vec<f64>,
-    cache: RefCell<P3Cache>,
+    point: RefCell<P3Point>,
 }
 
 impl P3Problem {
@@ -93,16 +106,17 @@ impl P3Problem {
             .collect();
         // Strictly feasible start: slightly above the minimum rate.
         let start = vec![(phi_min * 1.05).ln(); n_routes];
-        let cache = P3Cache {
-            varphi: vec![0; n_routes],
+        let point = P3Point {
+            varphi: Vec::with_capacity(n_routes),
             phi: vec![0.0; n_routes],
             load: vec![0.0; n_links],
             factor: vec![0.0; n_links],
             varpi: vec![0.0; n_routes],
             term: vec![0.0; n_routes],
-            link_dirty: vec![true; n_links],
-            route_dirty: vec![true; n_routes],
-            empty: true,
+            slope: vec![0.0; n_routes],
+            curvature: vec![0.0; n_routes],
+            inv_slack: vec![0.0; n_links],
+            spread: vec![0.0; n_routes],
         };
         Self {
             n_routes,
@@ -111,64 +125,61 @@ impl P3Problem {
             route_links,
             link_routes,
             start,
-            cache: RefCell::new(cache),
+            point: RefCell::new(point),
         }
     }
 
-    /// Brings the cache to `varphi`: each coordinate whose bits changed gets
-    /// a fresh `exp` and marks its route and the links on it, each marked
-    /// link recomputes its load and factor and marks the routes crossing it,
-    /// and each marked route recomputes `varpi` and its term.
+    /// The P3 quantities at `varphi`, recomputed only when its bits differ
+    /// from the last point's: the values the objective and constraints
+    /// read, and the derivative terms `psi' = F'/F` and
+    /// `psi'' = F''/F - psi'^2` per route and `1 / (beta_l a_l)` per link.
     // quhe-analyze: hot-path
-    fn refresh(&self, varphi: &[f64]) -> RefMut<'_, P3Cache> {
-        let mut cache = self.cache.borrow_mut();
-        let P3Cache {
+    fn evaluate(&self, varphi: &[f64]) -> RefMut<'_, P3Point> {
+        let mut point = self.point.borrow_mut();
+        if point.varphi.len() == varphi.len()
+            && point
+                .varphi
+                .iter()
+                .zip(varphi)
+                .all(|(&b, v)| b == v.to_bits())
+        {
+            return point;
+        }
+        let P3Point {
             varphi: bits,
             phi,
             load,
             factor,
             varpi,
             term,
-            link_dirty,
-            route_dirty,
-            empty,
-        } = &mut *cache;
-        for (n, (&v, b)) in varphi.iter().zip(bits.iter_mut()).enumerate() {
-            if *b == v.to_bits() && !*empty {
-                continue;
-            }
-            *b = v.to_bits();
-            phi[n] = v.exp();
-            route_dirty[n] = true;
-            for &l in &self.route_links[n] {
-                link_dirty[l] = true;
-            }
+            slope,
+            curvature,
+            inv_slack,
+            ..
+        } = &mut *point;
+        bits.clear();
+        bits.extend(varphi.iter().map(|v| v.to_bits()));
+        for (p, &v) in phi.iter_mut().zip(varphi) {
+            *p = v.exp();
         }
-        *empty = false;
         for (l, routes) in self.link_routes.iter().enumerate() {
-            if !link_dirty[l] {
-                continue;
-            }
-            link_dirty[l] = false;
             load[l] = routes.iter().map(|&n| phi[n]).sum::<f64>();
             factor[l] = 1.0 - load[l] / self.betas[l];
-            for &n in routes {
-                route_dirty[n] = true;
-            }
+            inv_slack[l] = 1.0 / (self.betas[l] * factor[l]);
         }
         for (n, links) in self.route_links.iter().enumerate() {
-            if !route_dirty[n] {
-                continue;
-            }
-            route_dirty[n] = false;
             let mut product = 1.0;
             for &l in links {
                 product *= factor[l];
             }
             varpi[n] = product;
-            term[n] = secret_key_fraction_raw(product).ln() + phi[n].ln();
+            let skf = secret_key_fraction_raw(product);
+            term[n] = skf.ln() + phi[n].ln();
+            slope[n] = secret_key_fraction_derivative(product) / skf;
+            curvature[n] =
+                secret_key_fraction_second_derivative(product) / skf - slope[n] * slope[n];
         }
-        cache
+        point
     }
 }
 
@@ -179,9 +190,9 @@ impl InequalityProblem for P3Problem {
 
     // quhe-analyze: hot-path
     fn objective(&self, varphi: &[f64]) -> f64 {
-        let cache = self.refresh(varphi);
+        let point = self.evaluate(varphi);
         let mut total = 0.0;
-        for (&varpi, &term) in cache.varpi.iter().zip(&cache.term) {
+        for (&varpi, &term) in point.varpi.iter().zip(&point.term) {
             if varpi <= SKF_THRESHOLD {
                 return f64::INFINITY;
             }
@@ -198,25 +209,140 @@ impl InequalityProblem for P3Problem {
 
     // quhe-analyze: hot-path
     fn constraints_into(&self, varphi: &[f64], out: &mut Vec<f64>) {
-        let cache = self.refresh(varphi);
+        let point = self.evaluate(varphi);
         out.clear();
         out.reserve(2 * self.n_routes + self.betas.len());
         // (20a) phi_min - phi_n <= 0.
-        for &p in &cache.phi {
+        for &p in &point.phi {
             out.push(self.phi_min - p);
         }
         // (20b) load_l / beta_l - (1 - margin) <= 0.
-        for (&load, &beta) in cache.load.iter().zip(&self.betas) {
+        for (&load, &beta) in point.load.iter().zip(&self.betas) {
             out.push(load / beta - (1.0 - STRICT_MARGIN));
         }
         // (20c) threshold - varpi_n <= 0.
-        for &varpi in &cache.varpi {
+        for &varpi in &point.varpi {
             out.push(SKF_THRESHOLD + STRICT_MARGIN - varpi);
         }
     }
 
     fn strictly_feasible_point(&self) -> Option<Vec<f64>> {
         Some(self.start.clone())
+    }
+
+    /// `d f / d varphi_m = sum_{l on m} p_m / (beta_l a_l) sum_{n on l}
+    /// psi'_n varpi_n - 1`.
+    // quhe-analyze: hot-path
+    fn objective_gradient_into(&self, varphi: &[f64], grad: &mut Vec<f64>) -> bool {
+        let point = self.evaluate(varphi);
+        grad.clear();
+        grad.resize(self.n_routes, -1.0);
+        for (l, routes) in self.link_routes.iter().enumerate() {
+            let pull = routes
+                .iter()
+                .map(|&n| point.slope[n] * point.varpi[n])
+                .sum::<f64>();
+            let weight = point.inv_slack[l] * pull;
+            for &m in routes {
+                grad[m] += weight * point.phi[m];
+            }
+        }
+        true
+    }
+
+    /// Rows: (20a) `-p_n e_n`, (20b) `p_m / beta_l` at each route `m` on
+    /// `l`, (20c) `varpi_n v_n`.
+    // quhe-analyze: hot-path
+    fn constraint_jacobian_into(&self, varphi: &[f64], jac: &mut DenseMatrix) -> bool {
+        let point = self.evaluate(varphi);
+        let (n_routes, n_links) = (self.n_routes, self.betas.len());
+        jac.reshape_zeroed(2 * n_routes + n_links, n_routes);
+        for (n, links) in self.route_links.iter().enumerate() {
+            jac.set(n, n, -point.phi[n]);
+            let row = jac.row_mut(n_routes + n_links + n);
+            for &l in links {
+                let scale = point.varpi[n] * point.inv_slack[l];
+                for &m in &self.link_routes[l] {
+                    row[m] += scale * point.phi[m];
+                }
+            }
+        }
+        for (l, routes) in self.link_routes.iter().enumerate() {
+            let row = jac.row_mut(n_routes + l);
+            for &m in routes {
+                row[m] = point.phi[m] / self.betas[l];
+            }
+        }
+        true
+    }
+
+    /// With `c_n = sigma psi'_n + lambda_(20c),n`, each route contributes
+    /// `c_n varpi_n sum_{l on n} (diag(u_l) + u_l u_l^T)` (summed per link
+    /// below) and `-(c_n varpi_n + sigma psi''_n varpi_n^2) v_n v_n^T`;
+    /// (20a) adds `-lambda p_n` and (20b) `lambda p_m / beta_l` on the
+    /// diagonal.
+    // quhe-analyze: hot-path
+    fn lagrangian_hessian_into(
+        &self,
+        varphi: &[f64],
+        sigma: f64,
+        lambda: &[f64],
+        hess: &mut DenseMatrix,
+    ) -> bool {
+        let (n_routes, n_links) = (self.n_routes, self.betas.len());
+        if lambda.len() != 2 * n_routes + n_links {
+            return false;
+        }
+        let (rate, rest) = lambda.split_at(n_routes);
+        let (capacity, secrecy) = rest.split_at(n_links);
+        let mut point = self.evaluate(varphi);
+        let P3Point {
+            phi,
+            varpi,
+            slope,
+            curvature,
+            inv_slack,
+            spread,
+            ..
+        } = &mut *point;
+        hess.reshape_zeroed(n_routes, n_routes);
+        for (l, routes) in self.link_routes.iter().enumerate() {
+            let weight = routes
+                .iter()
+                .map(|&n| (sigma * slope[n] + secrecy[n]) * varpi[n])
+                .sum::<f64>();
+            let inv = inv_slack[l];
+            let diagonal = capacity[l] / self.betas[l];
+            for &m in routes {
+                let scaled = weight * phi[m] * inv;
+                let row = hess.row_mut(m);
+                row[m] += scaled + diagonal * phi[m];
+                for &k in routes {
+                    row[k] += scaled * phi[k] * inv;
+                }
+            }
+        }
+        for (n, links) in self.route_links.iter().enumerate() {
+            let coefficient =
+                -(sigma * slope[n] + secrecy[n] + sigma * curvature[n] * varpi[n]) * varpi[n];
+            hess.row_mut(n)[n] -= rate[n] * phi[n];
+            spread.fill(0.0);
+            for &l in links {
+                for &m in &self.link_routes[l] {
+                    spread[m] += phi[m] * inv_slack[l];
+                }
+            }
+            for (j, &vj) in spread.iter().enumerate() {
+                if vj == 0.0 {
+                    continue;
+                }
+                let scaled = coefficient * vj;
+                for (h, &vk) in hess.row_mut(j).iter_mut().zip(spread.iter()) {
+                    *h += scaled * vk;
+                }
+            }
+        }
+        true
     }
 }
 
@@ -345,9 +471,13 @@ impl Stage1Solver {
 
 #[cfg(test)]
 mod tests {
+    use quhe_opt::barrier::BarrierDerivatives;
+    use quhe_opt::diff::{central_gradient, central_hessian};
+    use quhe_opt::newton::NewtonConfig;
     use rand::{Rng, SeedableRng};
 
     use super::*;
+    use crate::online::{OnlineTraceConfig, SystemTrace};
     use crate::params::QuheConfig;
     use crate::registry::ScenarioCatalog;
     use crate::scenario::SystemScenario;
@@ -411,91 +541,151 @@ mod tests {
         assert!(Stage1Solver::p3_objective(&p, &[1.0; 6]).is_finite());
     }
 
-    #[test]
-    fn incremental_evaluations_match_a_fresh_problem_bit_for_bit() {
-        let phi_min = QuheConfig::default().min_entanglement_rate;
-        let catalog = ScenarioCatalog::builtin();
-        for name in catalog.names() {
-            let scenario = catalog.generate(name, 3).unwrap();
-            let qkd = scenario.qkd();
-            let fresh = || P3Problem::new(qkd.incidence(), qkd.betas(), phi_min);
-            let walked = fresh();
-            let n = walked.dimension();
-            // Evaluates `x` on the walked problem, in either order, and on a
-            // fresh one, and returns the objective once their bits agree.
-            let check = |x: &[f64], constraints_first: bool| {
-                let (objective, constraints) = if constraints_first {
-                    let g = walked.constraints(x);
-                    (walked.objective(x), g)
-                } else {
-                    (walked.objective(x), walked.constraints(x))
-                };
-                let reference = fresh();
-                assert_eq!(
-                    objective.to_bits(),
-                    reference.objective(x).to_bits(),
-                    "{name}: objective at {x:?}"
-                );
-                let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&constraints),
-                    bits(&reference.constraints(x)),
-                    "{name}: constraints at {x:?}"
-                );
-                objective
-            };
+    /// P3 with only its objective and constraints, so the barrier solver
+    /// differentiates it by central differences: the reference the exact
+    /// derivatives are held to.
+    struct FiniteDifferenced<'a>(&'a P3Problem);
 
-            let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-            let mut x = walked.start.clone();
-            let mut visited = vec![x.clone()];
-            check(&x, false);
-            for step in 0..300 {
-                if step % 7 == 3 {
-                    x.clone_from(&visited[rng.gen_range(0..visited.len())]);
-                } else {
-                    // One to three coordinates, by a finite-difference step
-                    // or a larger one.
-                    for _ in 0..rng.gen_range(1..=3) {
-                        let i = rng.gen_range(0..n);
-                        let h = [1e-6, 1e-3, 0.05][rng.gen_range(0..3)];
-                        x[i] += if rng.gen_bool(0.5) { h } else { -h };
+    impl InequalityProblem for FiniteDifferenced<'_> {
+        fn dimension(&self) -> usize {
+            self.0.dimension()
+        }
+
+        fn objective(&self, varphi: &[f64]) -> f64 {
+            self.0.objective(varphi)
+        }
+
+        fn constraints(&self, varphi: &[f64]) -> Vec<f64> {
+            self.0.constraints(varphi)
+        }
+
+        fn constraints_into(&self, varphi: &[f64], out: &mut Vec<f64>) {
+            self.0.constraints_into(varphi, out);
+        }
+
+        fn strictly_feasible_point(&self) -> Option<Vec<f64>> {
+            self.0.strictly_feasible_point()
+        }
+    }
+
+    fn p3(scenario: &SystemScenario) -> P3Problem {
+        let qkd = scenario.qkd();
+        let phi_min = QuheConfig::default().min_entanglement_rate;
+        P3Problem::new(qkd.incidence(), qkd.betas(), phi_min)
+    }
+
+    /// Each catalogue world at `seed` and its first drift step, as the
+    /// service resolves a drifted request.
+    fn worlds(seed: u64) -> Vec<(String, usize, SystemScenario)> {
+        let catalog = ScenarioCatalog::builtin();
+        let drift = OnlineTraceConfig {
+            drift_amplitude: 0.01,
+            key_rate_drift: 0.01,
+            ..OnlineTraceConfig::drift_only(1)
+        };
+        let mut worlds = Vec::new();
+        for name in catalog.names() {
+            worlds.push((name.to_string(), 0, catalog.generate(name, seed).unwrap()));
+            let trace = SystemTrace::generate(&catalog, name, seed, &drift).unwrap();
+            let step = trace.steps().last().unwrap().scenario.clone();
+            worlds.push((name.to_string(), 1, step));
+        }
+        worlds
+    }
+
+    #[test]
+    fn analytic_barrier_derivatives_match_finite_differences() {
+        let newton = NewtonConfig::default();
+        let mut exact = BarrierDerivatives::new();
+        let (mut grad, mut hess) = (Vec::new(), DenseMatrix::default());
+        let catalog = ScenarioCatalog::builtin();
+        for seed in [1, 7, 42] {
+            for name in catalog.names() {
+                let problem = p3(&catalog.generate(name, seed).unwrap());
+                let start = problem.start.clone();
+                let optimum = BarrierSolver::default()
+                    .solve(&problem, None)
+                    .unwrap()
+                    .inner
+                    .solution;
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let mut points = 0;
+                while points < 4 {
+                    // Between the start and the optimum, jittered, with room
+                    // for the finite-difference stencil inside the domain.
+                    let x: Vec<f64> = start
+                        .iter()
+                        .zip(&optimum)
+                        .map(|(&a, &b)| {
+                            a + rng.gen_range(0.05..0.95) * (b - a) + rng.gen_range(-0.02..0.02)
+                        })
+                        .collect();
+                    if problem.constraints(&x).iter().any(|&g| g > -1e-3) {
+                        continue;
+                    }
+                    points += 1;
+                    for t in [1.0, 1e2, 1e4] {
+                        let barrier = |y: &[f64]| {
+                            let mut value = t * problem.objective(y);
+                            for g in problem.constraints(y) {
+                                if g >= 0.0 {
+                                    return f64::INFINITY;
+                                }
+                                value -= (-g).ln();
+                            }
+                            value
+                        };
+                        assert!(exact.evaluate(&problem, t, &x, &mut grad, &mut hess));
+                        let fd_grad = central_gradient(&barrier, &x, newton.fd_step);
+                        let fd_hess = central_hessian(&barrier, &x, newton.fd_step.sqrt() * 1e-2);
+                        let scale = grad.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+                        for (j, (&a, &f)) in grad.iter().zip(&fd_grad).enumerate() {
+                            assert!(
+                                (a - f).abs() <= 1e-6 * scale,
+                                "{name}/{seed} t={t}: gradient {j}: exact {a}, fd {f}"
+                            );
+                        }
+                        let n = x.len();
+                        let largest = (0..n * n)
+                            .map(|i| hess.get(i / n, i % n).abs())
+                            .fold(0.0f64, f64::max);
+                        for i in 0..n * n {
+                            let (a, f) = (hess.get(i / n, i % n), fd_hess.get(i / n, i % n));
+                            assert!(
+                                (a - f).abs() <= 1e-4 * largest,
+                                "{name}/{seed} t={t}: hessian {i}: exact {a}, fd {f}"
+                            );
+                        }
                     }
                 }
-                check(&x, step % 2 == 1);
-                visited.push(x.clone());
             }
-            for v in x.iter_mut() {
-                *v += rng.gen_range(-0.01..0.01);
-            }
-            check(&x, false);
+        }
+    }
 
-            // From the feasible start, raise one rate until a route falls
-            // below the secret-key threshold, then step back.
-            let mut x = walked.start.clone();
-            assert!(check(&x, false).is_finite(), "{name}: start infeasible");
-            let i = rng.gen_range(0..n);
-            let mut pushes = 0;
-            let mut feasible = x[i];
-            while check(&x, pushes % 2 == 1).is_finite() {
+    #[test]
+    fn p3_solves_match_the_finite_difference_solve() {
+        let solver = BarrierSolver::default();
+        for seed in [42, 7] {
+            for (name, step, scenario) in worlds(seed) {
+                let problem = p3(&scenario);
+                let exact = solver.solve(&problem, None).unwrap().inner;
+                let fd = solver
+                    .solve(&FiniteDifferenced(&problem), None)
+                    .unwrap()
+                    .inner;
+                let at = format!("{name}/{seed} step {step}");
+                assert_eq!(exact.iterations, fd.iterations, "{at}: outer iterations");
+                for (a, f) in exact.solution.iter().zip(&fd.solution) {
+                    let (a, f) = (a.exp(), f.exp());
+                    assert!((a - f).abs() <= 1e-8 * f, "{at}: rate {a} vs {f}");
+                }
                 assert!(
-                    pushes < 200,
-                    "{name}: route {i} never left the feasible set"
+                    (exact.objective - fd.objective).abs() <= 1e-12 * fd.objective.abs(),
+                    "{at}: objective {} vs {}",
+                    exact.objective,
+                    fd.objective
                 );
-                feasible = x[i];
-                x[i] += 0.1;
-                pushes += 1;
             }
-            assert!(
-                walked
-                    .cache
-                    .borrow()
-                    .varpi
-                    .iter()
-                    .any(|&varpi| varpi <= SKF_THRESHOLD),
-                "{name}: +inf without a route below the threshold"
-            );
-            x[i] = feasible;
-            assert!(check(&x, false).is_finite(), "{name}: no way back");
         }
     }
 

@@ -1,9 +1,14 @@
 //! Numerical differentiation helpers.
 //!
-//! The QuHE subproblems have closed-form objectives but fairly involved
-//! analytic gradients; central finite differences are accurate enough for the
-//! small problem dimensions involved and keep the solver code independent of
-//! the particular objective.
+//! Central finite differences keep a solver independent of the objective it
+//! minimizes, at the cost of many objective evaluations per derivative. They
+//! differentiate every barrier problem without exact-derivative hooks (the
+//! `FnProblem`s, such as Stage 3's Fig. 4(d) polish of problem P6), every
+//! [`crate::newton::DampedNewton::minimize`] objective, and every gradient
+//! step whose caller brings no gradient (the Stage-1 gradient-descent
+//! baseline; Stage 3's inner solves use a bit-identical incremental form).
+//! Stage 1's problem P3 has closed-form derivatives instead, and its tests
+//! hold them to these helpers.
 
 use crate::linalg::DenseMatrix;
 

@@ -126,6 +126,22 @@ impl DenseMatrix {
         self.data[i * self.cols + j] = value;
     }
 
+    /// Row `i` as a slice.
+    ///
+    /// # Panics
+    /// Panics when out of bounds.
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Row `i` as a mutable slice.
+    ///
+    /// # Panics
+    /// Panics when out of bounds.
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        &mut self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
     /// Matrix-vector product `A x`.
     ///
     /// # Panics

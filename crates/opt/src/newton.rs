@@ -2,7 +2,10 @@
 //!
 //! Used by the log-barrier solver ([`crate::barrier`]) as the inner "centering"
 //! step, mirroring how CVX's interior-point solver handles the convex
-//! subproblems of the QuHE paper's Stage 1 and Stage 3.
+//! subproblems of the QuHE paper's Stage 1 and Stage 3. Each step takes its
+//! gradient and Hessian from a caller's exact-derivative oracle when one is
+//! given ([`DampedNewton::minimize_with_derivatives`]) and from central
+//! finite differences otherwise.
 
 use crate::diff::{central_gradient_into, central_hessian_into};
 use crate::error::{OptError, OptResult};
@@ -87,9 +90,12 @@ impl NewtonWorkspace {
     }
 }
 
-/// Damped Newton minimizer with numerical derivatives.
+/// Damped Newton minimizer.
 ///
-/// The optional domain predicate passed to [`DampedNewton::minimize`]
+/// Derivatives come from central finite differences of `f`, or from an
+/// exact-derivative oracle passed to
+/// [`DampedNewton::minimize_with_derivatives`]. The domain predicate passed
+/// to [`DampedNewton::minimize`]
 /// restricts iterates to an open set (used for barrier objectives that are
 /// only finite strictly inside the feasible region); `f` must be finite on
 /// that set.
@@ -143,6 +149,39 @@ impl DampedNewton {
         F: Fn(&[f64]) -> f64,
         D: Fn(&[f64]) -> bool,
     {
+        self.minimize_with_derivatives(
+            f,
+            |_: &[f64], _: &mut Vec<f64>, _: &mut DenseMatrix| false,
+            in_domain,
+            start,
+            ws,
+        )
+    }
+
+    /// [`DampedNewton::minimize_with`] with an exact-derivative oracle:
+    /// `derivatives(x, grad, hess)` either writes `∇f(x)` into `grad` and
+    /// `∇²f(x)` into `hess` (reshaping it to `n x n`) and returns `true`, or
+    /// returns `false` and leaves the step to central finite differences of
+    /// `f`. The oracle is called once per Newton step, at the start point
+    /// or an accepted line-search point, so always inside the domain. An
+    /// oracle that always returns `false` gives the bits of
+    /// [`DampedNewton::minimize_with`].
+    ///
+    /// # Errors
+    /// Same contract as [`DampedNewton::minimize`].
+    pub fn minimize_with_derivatives<F, G, D>(
+        &self,
+        f: &F,
+        mut derivatives: G,
+        in_domain: &D,
+        start: &[f64],
+        ws: &mut NewtonWorkspace,
+    ) -> OptResult<OptimizeResult>
+    where
+        F: Fn(&[f64]) -> f64,
+        G: FnMut(&[f64], &mut Vec<f64>, &mut DenseMatrix) -> bool,
+        D: Fn(&[f64]) -> bool,
+    {
         self.config.validate()?;
         if !in_domain(start) {
             return Err(OptError::InfeasibleStart {
@@ -164,15 +203,17 @@ impl DampedNewton {
 
         for iter in 0..self.config.max_iterations {
             iterations = iter + 1;
-            central_gradient_into(f, &ws.x, self.config.fd_step, &mut ws.grad, &mut ws.fd_work);
-            central_hessian_into(
-                f,
-                &ws.x,
-                self.config.fd_step.sqrt() * 1e-2,
-                &mut ws.hess,
-                &mut ws.fd_work,
-                &mut ws.fd_steps,
-            );
+            if !derivatives(&ws.x, &mut ws.grad, &mut ws.hess) {
+                central_gradient_into(f, &ws.x, self.config.fd_step, &mut ws.grad, &mut ws.fd_work);
+                central_hessian_into(
+                    f,
+                    &ws.x,
+                    self.config.fd_step.sqrt() * 1e-2,
+                    &mut ws.hess,
+                    &mut ws.fd_work,
+                    &mut ws.fd_steps,
+                );
+            }
             // Try the pure Newton system first, escalate damping on failure.
             let mut damping = self.config.damping;
             ws.rhs.clear();
@@ -266,6 +307,47 @@ mod tests {
             .minimize(&f, &|p: &[f64]| p[0] > 0.0, &[5.0])
             .unwrap();
         assert!((res.solution[0] - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn an_exact_oracle_replaces_the_finite_differences() {
+        // f = (x0 - 1)^2 + 4 (x1 + 2)^2 + x0 x1 / 10: one exact Newton step
+        // lands on the minimum.
+        let f = |x: &[f64]| (x[0] - 1.0).powi(2) + 4.0 * (x[1] + 2.0).powi(2) + x[0] * x[1] * 0.1;
+        let oracle = |x: &[f64], grad: &mut Vec<f64>, hess: &mut DenseMatrix| {
+            grad.clear();
+            grad.extend([
+                2.0 * (x[0] - 1.0) + 0.1 * x[1],
+                8.0 * (x[1] + 2.0) + 0.1 * x[0],
+            ]);
+            hess.reshape_zeroed(2, 2);
+            hess.set(0, 0, 2.0);
+            hess.set(0, 1, 0.1);
+            hess.set(1, 0, 0.1);
+            hess.set(1, 1, 8.0);
+            true
+        };
+        let solver = DampedNewton::default();
+        let mut ws = NewtonWorkspace::new();
+        let inside = |_: &[f64]| true;
+        let exact = solver
+            .minimize_with_derivatives(&f, oracle, &inside, &[10.0, 10.0], &mut ws)
+            .unwrap();
+        assert!(exact.converged);
+        assert_eq!(exact.trace.len(), 2, "one step, then a zero decrement");
+        // An oracle that declines leaves every step to finite differences.
+        let declined = solver
+            .minimize_with_derivatives(
+                &f,
+                |_: &[f64], _: &mut Vec<f64>, _: &mut DenseMatrix| false,
+                &inside,
+                &[10.0, 10.0],
+                &mut ws,
+            )
+            .unwrap();
+        let fd = solver.minimize(&f, &inside, &[10.0, 10.0]).unwrap();
+        assert_eq!(declined, fd);
+        assert!((exact.objective - fd.objective).abs() < 1e-9);
     }
 
     #[test]

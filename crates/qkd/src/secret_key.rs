@@ -70,6 +70,19 @@ pub fn secret_key_fraction_derivative(w: f64) -> f64 {
     ((1.0 + w) / 2.0).log2() - ((1.0 - w) / 2.0).log2()
 }
 
+/// Second derivative `d² F_skf / d w² = 2 / (ln 2 (1 - w²))` on the region
+/// where the fraction is positive (zero below the threshold, infinite at
+/// `w = 1`, like [`secret_key_fraction_derivative`]).
+pub fn secret_key_fraction_second_derivative(w: f64) -> f64 {
+    if w <= SKF_THRESHOLD || w >= 1.0 {
+        if (w - 1.0).abs() < f64::EPSILON {
+            return f64::INFINITY;
+        }
+        return 0.0;
+    }
+    2.0 / (std::f64::consts::LN_2 * (1.0 - w) * (1.0 + w))
+}
+
 /// Computes the zero-crossing of the secret-key fraction by bisection, used
 /// in tests to confirm [`SKF_THRESHOLD`] and exposed for callers who want the
 /// threshold to machine precision.
@@ -142,6 +155,20 @@ mod tests {
             assert!((fd - an).abs() < 1e-5, "w={w}: fd={fd} an={an}");
         }
         assert_eq!(secret_key_fraction_derivative(0.5), 0.0);
+    }
+
+    #[test]
+    fn second_derivative_matches_finite_difference() {
+        for w in [0.79, 0.82, 0.9, 0.97, 0.999] {
+            let h = 1e-6;
+            let fd = (secret_key_fraction_derivative(w + h)
+                - secret_key_fraction_derivative(w - h))
+                / (2.0 * h);
+            let an = secret_key_fraction_second_derivative(w);
+            assert!((fd - an).abs() < 1e-6 * an, "w={w}: fd={fd} an={an}");
+        }
+        assert_eq!(secret_key_fraction_second_derivative(0.5), 0.0);
+        assert_eq!(secret_key_fraction_second_derivative(1.0), f64::INFINITY);
     }
 
     proptest! {
